@@ -1,5 +1,7 @@
 """Model checkpoints: flat little-endian float64 blobs plus a JSON manifest.
 
+A blob is a model's ``ModelParams.flat`` buffer verbatim (W0, b0, W1, b1, ...).
+
 A round directory holds ``global.bin``, one ``client_###.bin`` per client,
 and ``manifest.json`` recording layer shapes, activations, and the ground
 truth noise rates (so CKA analysis can split noisy/clean groups later).
@@ -17,31 +19,23 @@ from .errors import DataFormatError
 
 MANIFEST_NAME = "manifest.json"
 GLOBAL_NAME = "global.bin"
+# the keys load_round reads
+MANIFEST_KEYS = ("layer_shapes", "activations", "global", "clients",
+                 "noise_rates", "round")
 
 
 def params_to_blob(params: nn.ModelParams) -> bytes:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return params.flat.astype("<f8", copy=False).tobytes()
 
 
 def params_from_blob(blob: bytes, layer_shapes: list[list[int]],
                      activations: list[str]) -> nn.ModelParams:
-    flat = np.frombuffer(blob, dtype="<f8")
     expected = sum(o * i + o for o, i in layer_shapes)
-    if flat.size != expected:
+    if len(blob) != 8 * expected:
         raise DataFormatError(
-            f"checkpoint blob holds {flat.size} values, expected {expected}")
-    weights, biases, pos = [], [], 0
-    for out_dim, in_dim in layer_shapes:
-        weights.append(flat[pos:pos + out_dim * in_dim]
-                       .reshape(out_dim, in_dim).copy())
-        pos += out_dim * in_dim
-        biases.append(flat[pos:pos + out_dim].copy())
-        pos += out_dim
-    return nn.ModelParams(weights, biases, list(activations))
+            f"checkpoint blob holds {len(blob)} bytes, expected {8 * expected}")
+    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    return nn.ModelParams.from_flat(flat, layer_shapes, activations)
 
 
 def round_dir(base_dir, round_idx: int) -> str:
@@ -54,7 +48,7 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
     os.makedirs(path, exist_ok=True)
     manifest = {
         "round": round_idx,
-        "layer_shapes": [list(w.shape) for w in global_params.weights],
+        "layer_shapes": [list(shape) for shape in global_params.shapes],
         "activations": list(global_params.activations),
         "num_clients": len(client_params),
         "noise_rates": [float(r) for r in noise_rates],
@@ -80,6 +74,10 @@ def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float],
             f"missing checkpoint manifest: expected {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
+                              f"key(s) {', '.join(missing)}")
     shapes = manifest["layer_shapes"]
     acts = manifest["activations"]
 

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, checkpoint, data, server
-from .analysis import mean_last_accuracy
+from .analysis import _f, mean_last_accuracy
 from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_datasets,
                      config_to_dict, parse_config)
 from .errors import ConfigError
@@ -34,19 +34,9 @@ EXIT_CONFIG = 2
 CKA_PROBE_SIZE = 512
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _ensure_out_dir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
-
-
-def _write_echo(cfg: ExperimentConfig, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "config_echo.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -118,7 +108,7 @@ def _write_run_outputs(cfg: ExperimentConfig, exp: Experiment, metrics,
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir = _ensure_out_dir(cfg)
-    _write_echo(cfg, out_dir)
+    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     train, test = build_datasets(cfg)
 
     hook = None
@@ -148,7 +138,7 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
             raise ConfigError(
                 f"aggregator {name!r} must be one of {', '.join(server.AGGREGATORS)}")
     out_dir = _ensure_out_dir(cfg)
-    _write_echo(cfg, out_dir)
+    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     train, test = build_datasets(cfg)
 
     columns: dict[str, list[float]] = {}
@@ -182,7 +172,7 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
 
 def cmd_noise_preview(cfg: ExperimentConfig) -> int:
     out_dir = _ensure_out_dir(cfg)
-    _write_echo(cfg, out_dir)
+    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     train, _ = build_datasets(cfg)
     assignments = data.make_partitions(train, cfg.partition)
     rates = data.sample_client_noise_rates(cfg.noise, cfg.server.num_clients,
@@ -204,7 +194,7 @@ def cmd_noise_preview(cfg: ExperimentConfig) -> int:
 
 def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
     out_dir = _ensure_out_dir(cfg)
-    _write_echo(cfg, out_dir)
+    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     ckpt_base = os.path.join(cfg.out_dir, "checkpoints")
     rounds = checkpoint.available_rounds(ckpt_base)
     if round_idx is None:

@@ -69,7 +69,8 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
     """Mini-batch SGD on the client's (features, noisy_labels) shard.
 
     Deterministic given (seed, client_id, round_idx); the incoming global
-    parameters are copied, never mutated.
+    parameters are copied, never mutated, and the copy is updated in place
+    (the same arithmetic as ``nn.sgd_step``).
     """
     n = len(assignment)
     if n == 0:
@@ -85,12 +86,8 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
             chunk = order[start:start + config.batch_size]
             _, grad = nn.loss_and_grad(params, x[chunk], y[chunk])
             if config.prox_mu > 0:
-                for l in range(params.num_layers):
-                    grad.weights[l] += config.prox_mu * (
-                        params.weights[l] - global_params.weights[l])
-                    grad.biases[l] += config.prox_mu * (
-                        params.biases[l] - global_params.biases[l])
-            params = nn.sgd_step(params, grad, config.lr)
+                grad.flat += config.prox_mu * (params.flat - global_params.flat)
+            params.flat -= config.lr * grad.flat
 
     if not params.all_finite():
         raise NumericError(

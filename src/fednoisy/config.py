@@ -14,6 +14,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import data, server
 from .client import (H_ON_GLOBAL, H_ON_LOCAL, TRAIN_CORRECTED_ALL,
                      TRAIN_RELABELED_ONLY, ClientConfig)
@@ -346,16 +348,9 @@ def build_datasets(cfg: ExperimentConfig):
     train = data.load_idx(cfg.dataset.images, cfg.dataset.labels)
     test = data.load_idx(cfg.dataset.test_images, cfg.dataset.test_labels)
     if cfg.subset_size and cfg.subset_size < len(train):
-        import numpy as np
         rng = np.random.default_rng((cfg.seed, 12))
         keep = rng.choice(len(train), size=cfg.subset_size, replace=False)
         train = train.subset(np.sort(keep))
     if cfg.test_size and cfg.test_size < len(test):
         test = test.subset(slice(0, cfg.test_size))
     return train, test
-
-
-def _trim(dataset, size):
-    if size and size < len(dataset):
-        return dataset.subset(slice(0, size))
-    return dataset

@@ -314,8 +314,3 @@ def apply_symmetric_noise(assignment: ClientAssignment, rate: float,
                      assignment.true_labels)
     return replace(assignment, noisy_labels=noisy.astype(np.int64),
                    noise_rate=float(rate))
-
-
-def client_stream_seed(master_seed: int, client_id: int, round_idx: int = 0):
-    """Independent, order-free RNG seed material for one client."""
-    return (master_seed, client_id, round_idx)

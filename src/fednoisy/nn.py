@@ -2,13 +2,14 @@
 
 Parameter containers, forward/backward pass, SGD step, and the
 parameter-distance primitives used by the aggregation and detection code.
-Everything is plain float64 numpy; all functions are pure (inputs are never
-mutated) so they are safe to call from concurrent workers.
+Everything is plain float64 numpy. No function here mutates its arguments,
+so any number of workers may share one model; ``client.local_train`` updates
+only its own private copy in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,54 +50,81 @@ def mlp_specs(layer_sizes: list[int] | tuple[int, ...]) -> list[LayerSpec]:
     return specs
 
 
-@dataclass
 class ModelParams:
-    """Ordered per-layer parameter blocks of a dense classifier.
+    """Ordered per-layer parameter blocks of a dense classifier, in one buffer.
 
-    ``weights[l]`` has shape (out_dim, in_dim), ``biases[l]`` shape (out_dim,).
-    The unit exchanged between clients and server.
+    ``flat`` is one contiguous float64 vector laid out W0, b0, W1, b1, ...
+    with each ``W`` row-major; a checkpoint blob is exactly ``flat`` in
+    little-endian. ``weights[l]`` (shape (out_dim, in_dim)) and ``biases[l]``
+    (shape (out_dim,)) are views into it, so writes through either show in
+    ``flat``; replace their contents, never the list entries.
+    ``layer_slices[l]`` selects layer l's W and b in ``flat``. The unit
+    exchanged between clients and server.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[str] = field(default_factory=list)
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+                 activations: list[str] = ()):
+        if len(weights) != len(biases):
+            raise ShapeError(
+                f"{len(weights)} weight blocks but {len(biases)} bias blocks")
+        shapes = [np.shape(w) for w in weights]
+        for l, (shape, b) in enumerate(zip(shapes, biases)):
+            if len(shape) != 2 or np.shape(b) != shape[:1]:
+                raise ShapeError(f"layer {l}: bias shape {np.shape(b)} does "
+                                 f"not fit weight shape {shape}")
+        flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases)
+                               for a in pair], dtype=np.float64)
+        self._bind(flat, shapes, activations)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes, activations) -> "ModelParams":
+        """Wrap a float64 vector laid out as ``flat`` for ``shapes``, without
+        copying it."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes, activations)
+        return params
+
+    def _bind(self, flat, shapes, activations) -> None:
+        self.shapes = [(int(o), int(i)) for o, i in shapes]
+        size = sum(o * i + o for o, i in self.shapes)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ShapeError(f"flat buffer {flat.dtype}{flat.shape} does not "
+                             f"hold layers {self.shapes}")
+        self.flat = flat
+        self.activations = list(activations)
+        self.weights, self.biases, self.layer_slices = [], [], []
+        start = 0
+        for o, i in self.shapes:
+            mid = start + o * i
+            end = mid + o
+            self.weights.append(flat[start:mid].reshape(o, i))
+            self.biases.append(flat[mid:end])
+            self.layer_slices.append(slice(start, end))
+            start = end
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.shapes)
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.shapes[-1][0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases],
-                           list(self.activations))
+        return ModelParams.from_flat(self.flat.copy(), self.shapes,
+                                     self.activations)
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and \
-            all(np.isfinite(b).all() for b in self.biases)
+        return bool(np.isfinite(self.flat).all())
 
 
-@dataclass
-class Gradient:
-    """Same per-layer structure as :class:`ModelParams`."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-def _check_congruent(a: ModelParams, b: ModelParams | Gradient) -> None:
-    if len(a.weights) != len(b.weights):
-        raise ShapeError(f"layer counts differ: {len(a.weights)} vs {len(b.weights)}")
-    for l, (wa, wb) in enumerate(zip(a.weights, b.weights)):
-        if wa.shape != wb.shape or a.biases[l].shape != b.biases[l].shape:
-            raise ShapeError(f"layer {l} shapes differ: {wa.shape} vs {wb.shape}")
+def _check_congruent(a: ModelParams, b: ModelParams) -> None:
+    if a.shapes != b.shapes:
+        raise ShapeError(f"layer shapes differ: {a.shapes} vs {b.shapes}")
 
 
 def init_params(specs: list[LayerSpec], seed: int) -> ModelParams:
@@ -158,8 +186,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, Gradient]:
-    """Mean softmax cross-entropy and its exact backprop gradient."""
+                  labels: np.ndarray) -> tuple[float, ModelParams]:
+    """Mean softmax cross-entropy and its exact backprop gradient, laid out
+    like ``params``."""
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:
@@ -178,38 +207,33 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
     delta /= n
 
     batch_x = np.asarray(batch_x, dtype=np.float64)
-    grad_w: list[np.ndarray] = [None] * params.num_layers
-    grad_b: list[np.ndarray] = [None] * params.num_layers
+    grad = ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
+                                 params.activations)
     for l in range(params.num_layers - 1, -1, -1):
         below = batch_x if l == 0 else activations[l - 1]
-        grad_w[l] = delta.T @ below
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, below, out=grad.weights[l])
+        delta.sum(axis=0, out=grad.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]
             if params.activations[l - 1] == RELU:
                 delta = delta * (activations[l - 1] > 0)
-    return mean_loss, Gradient(grad_w, grad_b)
+    return mean_loss, grad
 
 
-def sgd_step(params: ModelParams, grad: Gradient, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
     """One gradient-descent step: p' = p - lr * g, per coordinate."""
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
     _check_congruent(params, grad)
-    return ModelParams(
-        [w - lr * g for w, g in zip(params.weights, grad.weights)],
-        [b - lr * g for b, g in zip(params.biases, grad.biases)],
-        list(params.activations))
+    return ModelParams.from_flat(params.flat - lr * grad.flat, params.shapes,
+                                 params.activations)
 
 
 def param_sq_distance(a: ModelParams, b: ModelParams) -> float:
     """Squared Euclidean distance over every coordinate of the two models."""
     _check_congruent(a, b)
-    total = 0.0
-    for l in range(a.num_layers):
-        total += float(((a.weights[l] - b.weights[l]) ** 2).sum())
-        total += float(((a.biases[l] - b.biases[l]) ** 2).sum())
-    return total
+    diff = a.flat - b.flat
+    return float((diff * diff).sum())
 
 
 def layer_sq_distance(a: ModelParams, b: ModelParams, layer: int) -> float:
@@ -221,8 +245,13 @@ def layer_sq_distance(a: ModelParams, b: ModelParams, layer: int) -> float:
     _check_congruent(a, b)
     if not 0 <= layer < a.num_layers:
         raise ValueError(f"layer index {layer} outside [0, {a.num_layers})")
-    return float(((a.weights[layer] - b.weights[layer]) ** 2).sum()
-                 + ((a.biases[layer] - b.biases[layer]) ** 2).sum())
+    block = a.layer_slices[layer]
+    diff = a.flat[block] - b.flat[block]
+    sq = diff * diff
+    # W and b summed apart: one sum over the whole block rounds differently,
+    # which would move fed_ncl's layer weights (and the global model) by ulps
+    n_w = a.weights[layer].size
+    return float(sq[:n_w].sum() + sq[n_w:].sum())
 
 
 def predict_confidences(params: ModelParams,

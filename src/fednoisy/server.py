@@ -91,15 +91,15 @@ class DetectionHistory:
 
 # -------------------------------------------------------------- aggregators
 
-def _combine(updates: list[ClientUpdate], weights: np.ndarray) -> nn.ModelParams:
-    first = updates[0].params
-    out_w = [np.zeros_like(w) for w in first.weights]
-    out_b = [np.zeros_like(b) for b in first.biases]
-    for u, wgt in zip(updates, weights):
-        for l in range(first.num_layers):
-            out_w[l] += wgt * u.params.weights[l]
-            out_b[l] += wgt * u.params.biases[l]
-    return nn.ModelParams(out_w, out_b, list(first.activations))
+def _common_layout(updates: list[ClientUpdate]) -> nn.ModelParams:
+    """The first client's model, once every client's layer shapes match it."""
+    first = updates[0]
+    for u in updates:
+        if u.params.shapes != first.params.shapes:
+            raise ShapeError(f"client {u.client_id} layer shapes "
+                             f"{u.params.shapes} differ from client "
+                             f"{first.client_id}'s {first.params.shapes}")
+    return first.params
 
 
 def fedavg_weights(updates: list[ClientUpdate], unweighted: bool) -> np.ndarray:
@@ -111,10 +111,13 @@ def fedavg_weights(updates: list[ClientUpdate], unweighted: bool) -> np.ndarray:
 
 def aggregate_fedavg(updates: list[ClientUpdate],
                      unweighted: bool = False) -> nn.ModelParams:
-    """Coordinate-wise mean, weighted by sample counts unless ``unweighted``."""
+    """Coordinate-wise mean, weighted by sample counts unless ``unweighted``:
+    layer-wise aggregation with the same row for every layer."""
     if not updates:
         raise ValueError("no updates to aggregate")
-    return _combine(updates, fedavg_weights(updates, unweighted))
+    row = fedavg_weights(updates, unweighted)
+    return aggregate_layerwise(
+        updates, np.tile(row, (updates[0].params.num_layers, 1)))
 
 
 def aggregate_trimmed_mean(updates: list[ClientUpdate],
@@ -128,14 +131,10 @@ def aggregate_trimmed_mean(updates: list[ClientUpdate],
     m = int(np.floor(trim_pct / 100.0 * c))
     if 2 * m >= c:
         raise ValueError(f"trimming {m} per side leaves no clients out of {c}")
-    first = updates[0].params
-    out_w, out_b = [], []
-    for l in range(first.num_layers):
-        stack_w = np.sort(np.stack([u.params.weights[l] for u in updates]), axis=0)
-        stack_b = np.sort(np.stack([u.params.biases[l] for u in updates]), axis=0)
-        out_w.append(stack_w[m:c - m].mean(axis=0))
-        out_b.append(stack_b[m:c - m].mean(axis=0))
-    return nn.ModelParams(out_w, out_b, list(first.activations))
+    first = _common_layout(updates)
+    stack = np.sort(np.stack([u.params.flat for u in updates]), axis=0)
+    return nn.ModelParams.from_flat(stack[m:c - m].mean(axis=0), first.shapes,
+                                    first.activations)
 
 
 # ---------------------------------------------------------------- detection
@@ -231,7 +230,7 @@ def aggregate_layerwise(updates: list[ClientUpdate],
     """Build each global layer as its own weighted average over clients."""
     if not updates:
         raise ValueError("no updates to aggregate")
-    first = updates[0].params
+    first = _common_layout(updates)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (first.num_layers, len(updates)):
         raise ShapeError(
@@ -239,13 +238,11 @@ def aggregate_layerwise(updates: list[ClientUpdate],
             f"{first.num_layers} layers x {len(updates)} clients")
     if np.abs(weights.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("every layer row must sum to 1")
-    out_w = [np.zeros_like(w) for w in first.weights]
-    out_b = [np.zeros_like(b) for b in first.biases]
-    for ci, u in enumerate(updates):
-        for l in range(first.num_layers):
-            out_w[l] += weights[l, ci] * u.params.weights[l]
-            out_b[l] += weights[l, ci] * u.params.biases[l]
-    return nn.ModelParams(out_w, out_b, list(first.activations))
+    out = np.zeros_like(first.flat)
+    for column, u in zip(weights.T, updates):
+        for w, block in zip(column, first.layer_slices):
+            out[block] += w * u.params.flat[block]
+    return nn.ModelParams.from_flat(out, first.shapes, first.activations)
 
 
 # ---------------------------------------------------------------- experiment
@@ -380,17 +377,6 @@ class Experiment:
         for round_idx in range(1, self.config.rounds + 1):
             self.run_round(round_idx)
         return self.metrics
-
-
-def run_experiment(dataset: LabeledDataset, test_set: LabeledDataset, *,
-                   partition: PartitionSpec, noise: NoiseSpec,
-                   client_config: ClientConfig, server_config: ServerConfig,
-                   hidden_dims=(64, 32), seed: int = 0,
-                   workers: int = 1) -> list[RoundMetrics]:
-    """Build an experiment, run all rounds, and return the metric stream."""
-    return Experiment(dataset, test_set, partition=partition, noise=noise,
-                      client_config=client_config, server_config=server_config,
-                      hidden_dims=hidden_dims, seed=seed, workers=workers).run()
 
 
 def detection_precision_recall(flagged: set[int],

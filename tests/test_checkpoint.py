@@ -1,10 +1,15 @@
 """Unit tests for checkpoint blobs and manifests."""
 
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fednoisy import checkpoint, nn
 from fednoisy.errors import DataFormatError
+from tests_util import flatten_params, model_stacks
 
 
 def model(seed=0):
@@ -29,6 +34,19 @@ def test_blob_is_little_endian_float64():
     assert len(blob) == 8 * n_params
     first = np.frombuffer(blob[:8], dtype="<f8")[0]
     assert first == m.weights[0][0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks())
+def test_blob_is_flat_buffer_and_round_trips(models):
+    for m in models:
+        blob = checkpoint.params_to_blob(m)
+        assert blob == flatten_params(m).astype("<f8").tobytes()
+        back = checkpoint.params_from_blob(blob, [list(s) for s in m.shapes],
+                                           m.activations)
+        assert back.flat.tobytes() == m.flat.tobytes()
+        assert back.shapes == m.shapes
+        assert back.activations == m.activations
 
 
 def test_blob_size_mismatch_rejected():
@@ -63,3 +81,20 @@ def test_available_rounds(tmp_path):
 def test_missing_manifest_lists_expected_path(tmp_path):
     with pytest.raises(FileNotFoundError, match="manifest"):
         checkpoint.load_round(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["layer_shapes", "activations", "global",
+                                 "clients", "noise_rates", "round"])
+def test_manifest_missing_key_names_key_and_path(tmp_path, key):
+    g = model(8)
+    path = checkpoint.save_round(tmp_path, 10, g, [g], [0.0])
+    manifest_path = os.path.join(path, checkpoint.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    del manifest[key]
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(DataFormatError) as err:
+        checkpoint.load_round(path)
+    assert key in str(err.value)
+    assert manifest_path in str(err.value)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednoisy import nn
 from fednoisy.errors import ShapeError
@@ -88,6 +90,20 @@ def test_init_rejects_broken_chain():
 def test_init_weight_scale():
     p = nn.init_params(nn.mlp_specs([100, 400, 10]), seed=3)
     assert np.std(p.weights[0]) == pytest.approx(np.sqrt(2 / 100), rel=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.data())
+def test_bias_length_must_match_weight_rows(widths, data_):
+    specs = nn.mlp_specs(widths)
+    layer = data_.draw(st.integers(0, len(specs) - 1))
+    out_dim = specs[layer].out_dim
+    bad = data_.draw(st.integers(0, 7).filter(lambda n: n != out_dim))
+    weights = [np.ones((s.out_dim, s.in_dim)) for s in specs]
+    biases = [np.zeros(bad if l == layer else s.out_dim)
+              for l, s in enumerate(specs)]
+    with pytest.raises(ShapeError):
+        nn.ModelParams(weights, biases, [s.activation for s in specs])
 
 
 # ---------------------------------------------------------------- forward
@@ -188,7 +204,7 @@ def test_sgd_zero_lr_is_identity():
 
 def test_sgd_closed_form():
     p = nn.ModelParams([np.array([[1.0]])], [np.array([1.0])], [nn.IDENTITY])
-    g = nn.Gradient([np.array([[0.5]])], [np.array([0.5])])
+    g = nn.ModelParams([np.array([[0.5]])], [np.array([0.5])])
     out = nn.sgd_step(p, g, 0.1)
     assert out.weights[0][0, 0] == pytest.approx(0.95, abs=0)
     assert out.biases[0][0] == pytest.approx(0.95, abs=0)
@@ -197,8 +213,8 @@ def test_sgd_closed_form():
 def test_sgd_matches_coordinate_loop():
     rng = np.random.default_rng(3)
     p = small_net(seed=8, sizes=(3, 4, 2))
-    g = nn.Gradient([rng.normal(size=w.shape) for w in p.weights],
-                    [rng.normal(size=b.shape) for b in p.biases])
+    g = nn.ModelParams([rng.normal(size=w.shape) for w in p.weights],
+                       [rng.normal(size=b.shape) for b in p.biases])
     lr = 0.37
     out = nn.sgd_step(p, g, lr)
     for l in range(p.num_layers):
@@ -210,15 +226,15 @@ def test_sgd_matches_coordinate_loop():
 
 def test_sgd_zero_grad_fixed_point():
     p = small_net(seed=6)
-    g = nn.Gradient([np.zeros_like(w) for w in p.weights],
-                    [np.zeros_like(b) for b in p.biases])
+    g = nn.ModelParams([np.zeros_like(w) for w in p.weights],
+                       [np.zeros_like(b) for b in p.biases])
     out = nn.sgd_step(p, g, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(out.weights, p.weights))
 
 
 def test_sgd_shape_mismatch_rejected():
     p = small_net()
-    g = nn.Gradient([np.zeros((9, 9))], [np.zeros(9)])
+    g = nn.ModelParams([np.zeros((9, 9))], [np.zeros(9)])
     with pytest.raises(ShapeError):
         nn.sgd_step(p, g, 0.1)
 

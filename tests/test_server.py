@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednoisy import data, nn, server
 from fednoisy.client import ClientConfig, ClientUpdate
@@ -11,6 +13,7 @@ from fednoisy.server import (DetectionHistory, ReliabilityScores, ServerConfig,
                              aggregate_trimmed_mean, detect_noisy,
                              detection_precision_recall, layerwise_weights,
                              penalty_m, reliability_scores, select_s_corr)
+from tests_util import model_stacks
 
 
 def scalar_params(value, bias=0.0):
@@ -491,3 +494,49 @@ def test_precision_recall_basic():
     assert p == 0.5 and r == 0.5
     p, r = detection_precision_recall(set(), [0.0, 0.0])
     assert (p, r) == (1.0, 1.0)
+
+
+# ----------------------------------------------- properties over random stacks
+
+def stack_updates(models, sizes):
+    return [ClientUpdate(c, m, 1.0, n, 1)
+            for c, (m, n) in enumerate(zip(models, sizes))]
+
+
+def assert_within_client_hull(out, models):
+    stack = np.stack([m.flat for m in models])
+    # a weighted sum may overshoot the extremes by rounding, never by more
+    slack = 8 * np.finfo(np.float64).eps * np.abs(stack).max(axis=0)
+    assert (out.flat >= stack.min(axis=0) - slack).all()
+    assert (out.flat <= stack.max(axis=0) + slack).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_fedavg_is_layerwise_with_tiled_rows(models, data_):
+    sizes = data_.draw(st.lists(st.integers(1, 50), min_size=len(models),
+                                max_size=len(models)))
+    unweighted = data_.draw(st.booleans())
+    updates = stack_updates(models, sizes)
+    rows = np.tile(server.fedavg_weights(updates, unweighted),
+                   (models[0].num_layers, 1))
+    got = aggregate_fedavg(updates, unweighted)
+    want = aggregate_layerwise(updates, rows)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert got.shapes == models[0].shapes
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_aggregates_stay_within_client_hull(models, data_):
+    c, n_layers = len(models), models[0].num_layers
+    sizes = data_.draw(st.lists(st.integers(1, 50), min_size=c, max_size=c))
+    updates = stack_updates(models, sizes)
+    raw = np.array(data_.draw(st.lists(
+        st.floats(1e-3, 1.0), min_size=n_layers * c, max_size=n_layers * c)))
+    rows = raw.reshape(n_layers, c)
+    rows /= rows.sum(axis=1, keepdims=True)
+    trim = data_.draw(st.floats(0.0, 49.0))
+    assert_within_client_hull(aggregate_fedavg(updates), models)
+    assert_within_client_hull(aggregate_layerwise(updates, rows), models)
+    assert_within_client_hull(aggregate_trimmed_mean(updates, trim), models)

@@ -3,6 +3,9 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+from fednoisy import nn
 
 
 def flatten_params(params):
@@ -12,6 +15,23 @@ def flatten_params(params):
         parts.append(w.ravel())
         parts.append(b.ravel())
     return np.concatenate(parts)
+
+
+@st.composite
+def model_stacks(draw):
+    """Random congruent client models: 1-3 layers, widths 1-6, 2-9 clients.
+
+    Values are standard normals times one scale per stack (1e-3, 1 or 1e3).
+    """
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    n_clients = draw(st.integers(2, 9))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = nn.mlp_specs(widths)
+    return [nn.ModelParams(
+        [scale * rng.normal(size=(s.out_dim, s.in_dim)) for s in specs],
+        [scale * rng.normal(size=s.out_dim) for s in specs],
+        [s.activation for s in specs]) for _ in range(n_clients)]
 
 
 def std_normal_cdf(x):
