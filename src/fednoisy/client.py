@@ -59,7 +59,7 @@ def data_quality_loss(eval_params: nn.ModelParams, assignment: ClientAssignment,
     if len(assignment) == 0:
         raise ValueError("assignment is empty")
     x = dataset.features[assignment.indices]
-    mean_loss, _ = nn.loss_and_grad(eval_params, x, assignment.noisy_labels)
+    mean_loss = nn.cross_entropy(eval_params, x, assignment.noisy_labels)[0]
     return mean_loss * len(assignment)
 
 
@@ -109,15 +109,25 @@ def correction_mask(assignment: ClientAssignment, global_params: nn.ModelParams,
 
 def apply_label_correction(assignment: ClientAssignment,
                            global_params: nn.ModelParams,
-                           dataset: LabeledDataset,
-                           eta: float) -> tuple[ClientAssignment, int]:
+                           dataset: LabeledDataset, eta: float,
+                           train_on: str = TRAIN_CORRECTED_ALL
+                           ) -> tuple[ClientAssignment, int]:
     """Relabel samples whose global-model confidence strictly exceeds eta.
 
     Features and true_labels are untouched; idempotent for fixed
-    global_params. Returns the corrected assignment and the relabel count.
+    global_params. With ``train_on`` = relabeled_only the corrected
+    assignment keeps only the relabeled samples, unless none was relabeled
+    (a client must keep at least one sample). Returns the corrected
+    assignment and the relabel count.
     """
     if not 0 <= eta <= 1:
         raise ValueError("eta must be in [0, 1]")
     predicted, mask = correction_mask(assignment, global_params, dataset, eta)
     noisy = np.where(mask, predicted, assignment.noisy_labels).astype(np.int64)
-    return replace(assignment, noisy_labels=noisy), int(mask.sum())
+    if train_on == TRAIN_RELABELED_ONLY and mask.any():
+        corrected = replace(assignment, indices=assignment.indices[mask],
+                            true_labels=assignment.true_labels[mask],
+                            noisy_labels=noisy[mask])
+    else:
+        corrected = replace(assignment, noisy_labels=noisy)
+    return corrected, int(mask.sum())

@@ -185,10 +185,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, ModelParams]:
-    """Mean softmax cross-entropy and its exact backprop gradient, laid out
-    like ``params``."""
+def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray
+                  ) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Mean softmax cross-entropy of a labelled batch under ``params``.
+
+    Also returns the per-layer activations and the log-probabilities, which
+    :func:`loss_and_grad` backpropagates through.
+    """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:
@@ -197,9 +200,17 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
     k = logits.shape[1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-
     log_probs = _log_softmax(logits)
-    mean_loss = float(-log_probs[np.arange(n), labels].mean())
+    return float(-log_probs[np.arange(n), labels].mean()), activations, log_probs
+
+
+def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
+                  labels: np.ndarray) -> tuple[float, ModelParams]:
+    """Mean softmax cross-entropy and its exact backprop gradient, laid out
+    like ``params``."""
+    mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels)
+    labels = np.asarray(labels)
+    n = labels.shape[0]
 
     probs = np.exp(log_probs)
     delta = probs

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import nn
 from .analysis import RoundMetrics, evaluate_accuracy, weight_divergence
-from .client import (TRAIN_RELABELED_ONLY, ClientConfig, ClientUpdate,
-                     apply_label_correction, correction_mask, local_train)
+# correction_mask is re-exported next to apply_label_correction, which calls it
+from .client import (ClientConfig, ClientUpdate, apply_label_correction,  # noqa: F401
+                     correction_mask, local_train)
 from .data import (ClientAssignment, LabeledDataset, NoiseSpec, PartitionSpec,
                    apply_symmetric_noise, make_partitions,
                    sample_client_noise_rates)
@@ -324,19 +325,9 @@ class Experiment:
         self.s_corr = select_s_corr(self.history, cfg.alpha, cfg.t_corr)
         relabeled: dict[int, int] = {}
         for cid in sorted(self.s_corr):
-            assignment = self.assignments[cid]
-            corrected, n_rel = apply_label_correction(
-                assignment, new_global, self.dataset, cfg.eta)
-            if self.client_config.train_on == TRAIN_RELABELED_ONLY:
-                _, mask = correction_mask(assignment, new_global, self.dataset,
-                                          cfg.eta)
-                if mask.any():  # a client must keep at least one sample
-                    corrected = ClientAssignment(
-                        cid, corrected.indices[mask],
-                        corrected.true_labels[mask],
-                        corrected.noisy_labels[mask], corrected.noise_rate)
-            self.assignments[cid] = corrected
-            relabeled[cid] = n_rel
+            self.assignments[cid], relabeled[cid] = apply_label_correction(
+                self.assignments[cid], new_global, self.dataset, cfg.eta,
+                self.client_config.train_on)
         return self.s_corr, relabeled
 
     def run_round(self, round_idx: int) -> tuple[nn.ModelParams, RoundMetrics]:

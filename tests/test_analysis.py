@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednoisy import analysis, data, nn
 from fednoisy.analysis import RoundMetrics, linear_cka
+from tests_util import model_stacks
 
 
 def rand(n, p, seed):
@@ -93,6 +96,53 @@ def test_report_group_means_partition_clients():
             (mat[1, g] + mat[3, g]) / 2, abs=1e-12)
         assert report.mean_clean[l] == pytest.approx(
             (mat[0, g] + mat[2, g]) / 2, abs=1e-12)
+
+
+K = analysis._CKA_BLOCK
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_stacks(counts=st.sampled_from(
+           [2, K - 1, K, K + 1, K + 2, 2 * K + 1, 2 * K + 2])),
+       st.sampled_from([2, 3, 5, 8, 12]), st.integers(0, 2**32 - 1))
+def test_report_matches_pairwise_oracle(models, rows, seed):
+    # client counts 1, K-2 .. K+1, 2K and 2K+1 put the M = clients + 1 models
+    # on both sides of the GEMM block boundaries; rows run below and above
+    # the layer widths (1-6)
+    probe = np.random.default_rng(seed).normal(size=(rows, models[0].in_dim))
+    feats = [nn.forward(m, probe)[0] for m in models]
+    n_models = len(models)
+    try:
+        oracle = [[[linear_cka(feats[i][l], feats[j][l]) for j in range(n_models)]
+                   for i in range(n_models)] for l in range(models[0].num_layers)]
+    except ValueError:  # some model has a zero-variance layer on this probe
+        with pytest.raises(ValueError, match="zero-variance"):
+            analysis.cka_layer_report(models[:-1], models[-1], probe, [0])
+        return
+    report = analysis.cka_layer_report(models[:-1], models[-1], probe, [0])
+    for mat, want in zip(report.matrices, oracle, strict=True):
+        want = np.array(want)
+        np.fill_diagonal(want, 1.0)
+        assert np.abs(mat - want).max() <= 1e-12
+        assert np.array_equal(mat, mat.T)
+        assert (np.diag(mat) == 1.0).all()
+        assert mat.min() >= 0.0 and mat.max() <= 1.0
+
+
+def test_report_rejects_zero_variance_model():
+    models = small_models(3)
+    dead = nn.ModelParams([np.zeros_like(w) for w in models[0].weights],
+                          [np.zeros_like(b) for b in models[0].biases],
+                          models[0].activations)
+    with pytest.raises(ValueError, match="zero-variance"):
+        analysis.cka_layer_report([models[1], dead], models[2], rand(20, 6, 1),
+                                  [1])
+
+
+def test_report_rejects_single_row_probe():
+    models = small_models(3)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        analysis.cka_layer_report(models[:2], models[2], rand(1, 6, 1), [0])
 
 
 # -------------------------------------------------------- divergence / acc

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednoisy import client, data, nn
-from fednoisy.client import ClientConfig
+from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig
 
 
 def blob_dataset(k=3, per_class=40, dim=6, spread=0.5, seed=0):
@@ -128,6 +130,18 @@ def test_h_uniform_logit_model():
     assert h == pytest.approx(len(ds) * np.log(4), rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_h_is_loss_and_grad_loss_times_n_bitwise(k, n, seed):
+    ds = data.make_synthetic(k + 1, n, 5, 0.5, seed % 1000)
+    rng = np.random.default_rng(seed)
+    idx = rng.permutation(len(ds))[:n]
+    a = data.ClientAssignment(0, idx, ds.labels[idx], rng.integers(0, k + 1, n))
+    g = nn.init_params(nn.mlp_specs([5, 4, k + 1]), seed)
+    mean_loss, _ = nn.loss_and_grad(g, ds.features[a.indices], a.noisy_labels)
+    assert client.data_quality_loss(g, a, ds) == mean_loss * n
+
+
 def test_h_near_zero_for_confident_correct_model():
     ds = blob_dataset(k=2, per_class=10, spread=0.01)
     a = whole_dataset_assignment(ds)
@@ -242,3 +256,28 @@ def test_relabeled_set_equals_confidence_mask():
     assert n == mask.sum()
     assert np.array_equal(out.noisy_labels[~mask], a.noisy_labels[~mask])
     assert np.array_equal(out.noisy_labels[mask], preds[mask])
+
+
+def test_relabeled_only_keeps_exactly_the_relabeled_samples():
+    ds = blob_dataset()
+    a = data.apply_symmetric_noise(whole_dataset_assignment(ds), 0.6, 3, seed=3)
+    g = fresh_params(ds)
+    eta = 0.4
+    preds, mask = client.correction_mask(a, g, ds, eta)
+    assert 0 < mask.sum() < len(a)
+    out, n = client.apply_label_correction(a, g, ds, eta, TRAIN_RELABELED_ONLY)
+    assert n == mask.sum()
+    assert np.array_equal(out.indices, a.indices[mask])
+    assert np.array_equal(out.true_labels, a.true_labels[mask])
+    assert np.array_equal(out.noisy_labels, preds[mask])
+    assert out.client_id == a.client_id and out.noise_rate == a.noise_rate
+
+
+def test_relabeled_only_keeps_everything_when_nothing_relabeled():
+    ds = blob_dataset()
+    a = data.apply_symmetric_noise(whole_dataset_assignment(ds), 0.6, 3, seed=3)
+    out, n = client.apply_label_correction(a, fresh_params(ds), ds, 1.0,
+                                           TRAIN_RELABELED_ONLY)
+    assert n == 0
+    assert np.array_equal(out.indices, a.indices)
+    assert np.array_equal(out.noisy_labels, a.noisy_labels)

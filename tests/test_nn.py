@@ -169,6 +169,20 @@ def test_label_out_of_range_rejected():
         nn.loss_and_grad(p, np.ones((2, 2)), np.array([0, 5]))
 
 
+@pytest.mark.parametrize("x,y", [
+    (np.ones((0, 2)), np.array([], dtype=int)),
+    (np.ones((2, 2)), np.array([0, 5])),
+    (np.ones((2, 2)), np.array([-1, 0])),
+])
+def test_cross_entropy_rejects_like_loss_and_grad(x, y):
+    p = small_net()
+    with pytest.raises(ValueError) as want:
+        nn.loss_and_grad(p, x, y)
+    with pytest.raises(ValueError) as got:
+        nn.cross_entropy(p, x, y)
+    assert str(got.value) == str(want.value)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     p = small_net(seed=4, sizes=(3, 5, 4))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fednoisy import data, nn, server
-from fednoisy.client import ClientConfig, ClientUpdate
+from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig, ClientUpdate
 from fednoisy.data import NoiseSpec, PartitionSpec
 from fednoisy.server import (DetectionHistory, ReliabilityScores, ServerConfig,
                              aggregate_fedavg, aggregate_layerwise,
@@ -443,6 +443,36 @@ def test_label_correction_fires_at_t_corr():
         assert corrected_rounds == [3]
     relabels = [sum(m.n_relabeled) for m in metrics]
     assert all(r == 0 for i, r in enumerate(relabels) if metrics[i].round_idx != 3)
+
+
+def test_relabeled_only_correction_runs_one_forward_per_client(monkeypatch):
+    exp = tiny_experiment(server.FED_NCL, t_corr=2, alpha=0.1, eta=0.4)
+    exp.client_config.train_on = TRAIN_RELABELED_ONLY
+    for _ in range(2):
+        exp.history.record({1, 3}, {0, 2})
+    before = {c: exp.assignments[c] for c in (1, 3)}
+    preds = {c: nn.predict_confidences(
+        exp.global_params, exp.dataset.features[before[c].indices])
+        for c in (1, 3)}
+    calls = []
+    predict = nn.predict_confidences
+
+    def counting(*args):
+        calls.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(nn, "predict_confidences", counting)
+    corrected, relabeled = exp._correct_labels(exp.global_params)
+    assert corrected == {1, 3} and len(calls) == 2
+    assert any(0 < relabeled[c] < len(before[c]) for c in (1, 3))
+    for c in (1, 3):
+        labels, conf = preds[c]
+        mask = conf > 0.4
+        assert relabeled[c] == mask.sum()
+        if mask.any():
+            assert np.array_equal(exp.assignments[c].indices,
+                                  before[c].indices[mask])
+            assert np.array_equal(exp.assignments[c].noisy_labels, labels[mask])
 
 
 def test_baselines_do_not_correct_labels():

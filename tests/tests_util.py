@@ -18,13 +18,14 @@ def flatten_params(params):
 
 
 @st.composite
-def model_stacks(draw):
-    """Random congruent client models: 1-3 layers, widths 1-6, 2-9 clients.
+def model_stacks(draw, counts=st.integers(2, 9)):
+    """Random congruent models: 1-3 layers, widths 1-6, as many as ``counts``
+    draws (2-9 by default).
 
     Values are standard normals times one scale per stack (1e-3, 1 or 1e3).
     """
     widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    n_clients = draw(st.integers(2, 9))
+    n_clients = draw(counts)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specs = nn.mlp_specs(widths)
