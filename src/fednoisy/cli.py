@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, analysis, checkpoint, data, server
 from .analysis import _f, mean_last_accuracy
-from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_datasets,
-                     config_to_dict, parse_config)
+from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_config,
+                     build_datasets, config_to_dict, parse_config)
 from .errors import ConfigError
 from .server import Experiment, detection_precision_recall
 
@@ -46,16 +46,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.partition.seed = args.seed
-    if args.workers is not None:
-        if args.workers < 0:
-            raise ConfigError("workers: must be >= 0")
-        cfg.workers = args.workers
-    return cfg
+    """Set --out/--seed/--workers as top-level keys and validate again."""
+    flags = {"out_dir": args.out, "seed": args.seed, "workers": args.workers}
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    return build_config({**config_to_dict(cfg), **overrides})
 
 
 def _build_experiment(cfg: ExperimentConfig, train, test,

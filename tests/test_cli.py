@@ -56,6 +56,19 @@ def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_run_wrong_type_container_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "o", hidden_dims=64))
+    assert main(["run", "--config", path]) == 2
+    assert "hidden_dims" in capsys.readouterr().err
+
+
+def test_negative_workers_flag_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "o"))
+    assert main(["run", "--config", path, "--workers", "-1"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     path = write_config(tmp_path, base_config(out1))
@@ -170,6 +183,21 @@ def test_noise_preview_deterministic_bytes(tmp_path):
     assert main(["noise-preview", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "noise_profile.csv").read_bytes() == \
         (out2 / "noise_profile.csv").read_bytes()
+
+
+def test_noise_preview_seed_flag_matches_config_seed(tmp_path):
+    out1, out2 = tmp_path / "flag", tmp_path / "file"
+    cfg = base_config(out1, noise={"clean_prob": 0.5})
+    assert main(["noise-preview", "--config", write_config(tmp_path, cfg),
+                 "--seed", "7"]) == 0
+    cfg = base_config(out2, noise={"clean_prob": 0.5}, seed=7)
+    assert main(["noise-preview", "--config",
+                 write_config(tmp_path, cfg, "seven.json")]) == 0
+    assert (out1 / "noise_profile.csv").read_bytes() == \
+        (out2 / "noise_profile.csv").read_bytes()
+    echo1 = json.loads((out1 / "config_echo.json").read_text())
+    echo2 = json.loads((out2 / "config_echo.json").read_text())
+    assert echo1 == dict(echo2, out_dir=str(out1))
 
 
 def test_noise_preview_trunc_gauss_rates_in_bounds(tmp_path):

@@ -1,13 +1,17 @@
 """Unit tests for config parsing, validation, defaults, and the echo."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fednoisy import config as cfg_mod
 from fednoisy import data, server
 from fednoisy.config import build_config, build_datasets, config_to_dict, parse_config
 from fednoisy.errors import ConfigError
+from tests_util import config_documents
 
 
 def write_config(tmp_path, payload):
@@ -161,3 +165,87 @@ def test_workers_resolution(tmp_path):
     assert cfg.resolved_workers() >= 1
     cfg = parse_config(write_config(tmp_path, {"workers": 3}))
     assert cfg.resolved_workers() == 3
+
+
+@pytest.mark.parametrize("payload,key", [
+    ([], "config document"), ({"server": 3}, "server"),
+    ({"hidden_dims": 64}, "hidden_dims"),
+    ({"hidden_dims": None}, "hidden_dims"),
+    ({"noise": {"mode": "fixed", "rates": 0.3}}, "noise.rates"),
+    ({"noise": {"rates": "0.3"}}, "noise.rates"),
+])
+def test_wrong_container_types_name_the_key(payload, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected"):
+        build_config(payload)
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"save_checkpoints": "false"}, "save_checkpoints"),
+    ({"save_checkpoints": 1}, "save_checkpoints"),
+    ({"server": {"unweighted": "no"}}, "server.unweighted"),
+    ({"server": {"unweighted": 0}}, "server.unweighted"),
+    ({"dataset": {"images": 3}}, "dataset.images"),
+    ({"dataset": {"kind": ["synthetic"]}}, "dataset.kind"),
+    ({"client": {"h_on": None}}, "client.h_on"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"out_dir": None}, "out_dir"),
+    ({"seed": True}, "seed"),
+    ({"server": {"tau": "50"}}, "server.tau"),
+])
+def test_values_are_not_coerced(payload, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected"):
+        build_config(payload)
+
+
+@pytest.mark.parametrize("key", ["num_clients", "seed"])
+def test_derived_partition_keys_rejected(key):
+    # filled from server.num_clients and the master seed
+    with pytest.raises(ConfigError, match=f"unknown key partition.{key}"):
+        build_config({"partition": {key: 3}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents())
+def test_round_trip_property(document):
+    cfg = build_config(document)
+    assert build_config(config_to_dict(cfg)) == cfg
+
+
+def key_tree(section):
+    return {k: key_tree(v) if isinstance(v, dict) else None
+            for k, v in section.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_documents(full=True), st.data())
+def test_echo_keys_are_the_accepted_keys(document, data):
+    echo = config_to_dict(build_config(document))
+    assert key_tree(echo) == key_tree(document)
+    # and any key the echo lacks, at any level, is rejected
+    name = data.draw(st.sampled_from(
+        [""] + [k for k, v in echo.items() if isinstance(v, dict)]))
+    section = echo[name] if name else echo
+    key = data.draw(st.text(min_size=1).filter(lambda k: k not in section))
+    section[key] = 0
+    prefix = f"{name}." if name else ""
+    with pytest.raises(ConfigError,
+                       match=f"^unknown key {re.escape(prefix + key)}$"):
+        build_config(echo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents())
+@example({"server": {"tau": 50}})
+def test_echo_types_follow_the_defaults(document):
+    """A JSON int given for a float field (e.g. "tau": 50) echoes as a float."""
+    def check(echo, default):
+        for key, value in echo.items():
+            if isinstance(value, dict):
+                check(value, default[key])
+            elif value is not None and default[key] is not None:
+                assert type(value) is type(default[key]), key
+
+    echo = config_to_dict(build_config(document))
+    check(echo, config_to_dict(build_config({})))
+    assert all(type(h) is int for h in echo["hidden_dims"])
+    assert all(type(r) is float for r in echo["noise"]["rates"] or [])

@@ -35,6 +35,83 @@ def model_stacks(draw, counts=st.integers(2, 9)):
         [s.activation for s in specs]) for _ in range(n_clients)]
 
 
+@st.composite
+def config_documents(draw, full=False):
+    """Valid config documents: a random subset of the accepted keys, or with
+    ``full`` every accepted key, at every level.
+
+    Float fields get JSON ints as well as floats where some int is valid, so
+    the echo's float typing is exercised.
+    """
+    def pick(keys, required=()):
+        req = {k: v for k, v in keys.items() if full or k in required}
+        opt = {k: v for k, v in keys.items() if k not in req}
+        return draw(st.fixed_dictionaries(req, optional=opt))
+
+    mnist = draw(st.booleans())
+    paths = ["images", "labels", "test_images", "test_labels"]
+    path = st.text() if mnist else st.none() | st.text()
+    dataset = pick({
+        "kind": st.just("mnist" if mnist else "synthetic"),
+        "classes": st.integers(2, 20), "dims": st.integers(1, 1000),
+        "spread": st.floats(0, 10) | st.integers(0, 3),
+        **{name: path for name in paths}},
+        required=["kind", *paths] if mnist else ())
+    server = pick({
+        "aggregator": st.sampled_from(["fedavg", "trimmed_mean", "fedprox",
+                                       "fed_ncl"]),
+        "trim_pct": st.floats(0, 50, exclude_max=True) | st.integers(0, 49),
+        "beta": st.floats(0, 1e6, exclude_min=True) | st.integers(1, 10),
+        "tau": st.floats(1, 1e6) | st.integers(1, 100),
+        "t_k": st.integers(1, 100),
+        "alpha": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "t_corr": st.integers(1, 300),
+        "eta": st.floats(0, 1) | st.integers(0, 1),
+        "rounds": st.integers(0, 300), "num_clients": st.integers(1, 30),
+        "penalty_mode": st.sampled_from(["divisor", "literal"]),
+        "unweighted": st.booleans()})
+    n_clients = server.get("num_clients", 20)
+    mode = draw(st.sampled_from(["bernoulli", "trunc_gauss", "fixed"]))
+    rate = st.floats(0, 1) | st.integers(0, 1)
+    low, high = sorted(draw(st.lists(st.floats(0, 1), min_size=2,
+                                     max_size=2, unique=True)))
+    noise = pick({
+        "mode": st.just(mode),
+        "clean_prob": st.floats(0, 1, exclude_min=True) | st.just(1),
+        "within_rate": rate, "mean": st.floats(-10, 10) | st.integers(-1, 1),
+        "std": st.floats(0, 10, exclude_min=True) | st.integers(1, 3),
+        "low": st.just(low), "high": st.just(high),
+        "rates": st.lists(rate, min_size=n_clients, max_size=n_clients)
+        if mode == "fixed" else st.none() | st.lists(rate, max_size=5)},
+        required=("mode", "rates") if mode == "fixed" else ())
+    return pick({
+        "dataset": st.just(dataset),
+        "subset_size": st.integers(0 if mnist else 1, 5000),
+        "test_size": st.integers(1, 5000),
+        "hidden_dims": st.lists(st.integers(1, 128), max_size=4),
+        "partition": st.just(pick({
+            "kind": st.sampled_from(["iid", "class_skew", "quantity_skew"]),
+            "p_class": st.floats(0, 1, exclude_min=True) | st.just(1),
+            "alpha_dir": st.floats(0, 100, exclude_min=True)
+            | st.integers(1, 5),
+            "sigma_log": st.floats(0, 5) | st.integers(0, 2)})),
+        "noise": st.just(noise),
+        "client": st.just(pick({
+            "lr": st.floats(0, 10, exclude_min=True) | st.integers(1, 2),
+            "local_epochs": st.integers(1, 20),
+            "batch_size": st.integers(1, 256),
+            "prox_mu": st.floats(0, 10) | st.integers(0, 1),
+            "h_on": st.sampled_from(["global", "local"]),
+            "train_on": st.sampled_from(["corrected_all",
+                                         "relabeled_only"])})),
+        "server": st.just(server),
+        "seed": st.integers(0, 2**32 - 1), "out_dir": st.text(),
+        "save_checkpoints": st.booleans(),
+        "checkpoint_every": st.integers(1, 50), "workers": st.integers(0, 8)},
+        # the mnist paths and the fixed rates hold only with their section
+        required=["dataset"] * mnist + ["server"] * (mode == "fixed"))
+
+
 def std_normal_cdf(x):
     """Standard normal CDF via erf; independent of scipy."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
