@@ -159,9 +159,22 @@ def _layer_cka(models: list[nn.ModelParams], probe: np.ndarray,
 # ------------------------------------------------------------ accuracy etc.
 
 def weight_divergence(global_params: nn.ModelParams,
-                      clients: list[nn.ModelParams]) -> list[float]:
-    """Per-client squared parameter distance to the global model."""
-    return [nn.param_sq_distance(global_params, c) for c in clients]
+                      clients: list[nn.ModelParams],
+                      layers: np.ndarray | None = None) -> list[float]:
+    """Per-client squared parameter distance to the global model
+    (``nn.param_sq_distance``), through one scratch buffer.
+
+    With ``layers``, an (L, C) float array, column c also receives client c's
+    per-layer squared distances (``nn.layer_sq_distance``) from the same pass.
+    """
+    scratch = np.empty_like(global_params.flat)
+    totals = []
+    for c, model in enumerate(clients):
+        total, per_layer = nn.sq_distances(global_params, model, out=scratch)
+        totals.append(total)
+        if layers is not None:
+            layers[:, c] = per_layer
+    return totals
 
 
 def evaluate_accuracy(params: nn.ModelParams, test_set: LabeledDataset) -> float:

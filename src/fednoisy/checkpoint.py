@@ -60,9 +60,18 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
     for name, params in zip(manifest["clients"], client_params):
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(params_to_blob(params))
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # written last and renamed into place, so a readable manifest always
+    # describes a complete round, even after a crash mid-write
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    tmp_path = manifest_path + ".tmp"
+    try:
+        with open(tmp_path, "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_path, manifest_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
     return path
 
 

@@ -68,26 +68,41 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
                 seed: int) -> ClientUpdate:
     """Mini-batch SGD on the client's (features, noisy_labels) shard.
 
-    Deterministic given (seed, client_id, round_idx); the incoming global
-    parameters are copied, never mutated, and the copy is updated in place
-    (the same arithmetic as ``nn.sgd_step``).
+    Deterministic given (seed, client_id, round_idx). The incoming global
+    parameters are never mutated: the first step reads them and writes its
+    result into the client's own vector, which later steps update in place,
+    with the same arithmetic as ``nn.sgd_step``. One gradient buffer (and,
+    with ``prox_mu`` > 0, one scratch vector for the proximal term) serves
+    every step.
     """
     n = len(assignment)
     if n == 0:
         raise ValueError(f"client {assignment.client_id} has no samples")
+    if config.local_epochs < 1:
+        raise ValueError("local_epochs must be >= 1")
     rng = np.random.default_rng((seed, assignment.client_id, round_idx))
     x = dataset.features[assignment.indices]
     y = assignment.noisy_labels
 
-    params = global_params.copy()
+    params = nn.ModelParams.from_flat(np.empty_like(global_params.flat),
+                                      global_params.shapes,
+                                      global_params.activations)
+    grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
+                                    params.activations)
+    pull = np.empty_like(params.flat) if config.prox_mu > 0 else None
+    current = global_params
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             chunk = order[start:start + config.batch_size]
-            _, grad = nn.loss_and_grad(params, x[chunk], y[chunk])
-            if config.prox_mu > 0:
-                grad.flat += config.prox_mu * (params.flat - global_params.flat)
-            params.flat -= config.lr * grad.flat
+            nn.loss_and_grad(current, x[chunk], y[chunk], out=grad)
+            if pull is not None:
+                np.subtract(current.flat, global_params.flat, out=pull)
+                pull *= config.prox_mu
+                grad.flat += pull
+            np.multiply(grad.flat, config.lr, out=grad.flat)
+            np.subtract(current.flat, grad.flat, out=params.flat)
+            current = params
 
     if not params.all_finite():
         raise NumericError(

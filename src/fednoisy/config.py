@@ -211,6 +211,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(cfg.subset_size >= 1, "subset_size",
                  "synthetic datasets need an explicit size")
         _require(cfg.test_size >= 1, "test_size", "must be >= 1")
+    _require(cfg.seed >= 0, "seed", "must be >= 0")
     _require(cfg.workers >= 0, "workers", "must be >= 0")
     _require(cfg.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
     if noise.mode == data.FIXED:

@@ -3,8 +3,8 @@
 Parameter containers, forward/backward pass, SGD step, and the
 parameter-distance primitives used by the aggregation and detection code.
 Everything is plain float64 numpy. No function here mutates its arguments,
-so any number of workers may share one model; ``client.local_train`` updates
-only its own private copy in place.
+except the ``out`` buffer a caller passes, so any number of workers may share
+one model; ``client.local_train`` updates only its own private copy in place.
 """
 
 from __future__ import annotations
@@ -205,9 +205,15 @@ def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, ModelParams]:
+                  labels: np.ndarray, out: ModelParams | None = None
+                  ) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy and its exact backprop gradient, laid out
-    like ``params``."""
+    like ``params``.
+
+    The gradient is written into ``out`` when given (a ``ModelParams`` with
+    ``params``' shapes), else into a new one. Every element is overwritten,
+    so a caller may reuse one buffer across steps.
+    """
     mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels)
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -218,17 +224,20 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
     delta /= n
 
     batch_x = np.asarray(batch_x, dtype=np.float64)
-    grad = ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
-                                 params.activations)
+    if out is None:
+        out = ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
+                                    params.activations)
+    else:
+        _check_congruent(params, out)
     for l in range(params.num_layers - 1, -1, -1):
         below = batch_x if l == 0 else activations[l - 1]
-        np.matmul(delta.T, below, out=grad.weights[l])
-        delta.sum(axis=0, out=grad.biases[l])
+        np.matmul(delta.T, below, out=out.weights[l])
+        delta.sum(axis=0, out=out.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]
             if params.activations[l - 1] == RELU:
                 delta = delta * (activations[l - 1] > 0)
-    return mean_loss, grad
+    return mean_loss, out
 
 
 def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
@@ -263,6 +272,25 @@ def layer_sq_distance(a: ModelParams, b: ModelParams, layer: int) -> float:
     # which would move fed_ncl's layer weights (and the global model) by ulps
     n_w = a.weights[layer].size
     return float(sq[:n_w].sum() + sq[n_w:].sum())
+
+
+def sq_distances(a: ModelParams, b: ModelParams, out: np.ndarray | None = None
+                 ) -> tuple[float, list[float]]:
+    """(param_sq_distance(a, b), [layer_sq_distance(a, b, l) for each l]) from
+    one pass over the two models, with the same bits as those two functions.
+
+    The squared differences go into ``out`` (a float64 vector of ``a.flat``'s
+    shape) when given, else into a new vector; reusing one ``out`` across
+    calls keeps the loop free of parameter-sized allocations.
+    """
+    _check_congruent(a, b)
+    sq = np.subtract(a.flat, b.flat, out=out)
+    np.multiply(sq, sq, out=sq)
+    per_layer = []
+    for w, block in zip(a.weights, a.layer_slices):
+        layer = sq[block]
+        per_layer.append(float(layer[:w.size].sum() + layer[w.size:].sum()))
+    return float(sq.sum()), per_layer
 
 
 def predict_confidences(params: ModelParams,

@@ -69,6 +69,9 @@ class ReliabilityScores:
     divergence: np.ndarray     # e per client, kept for diagnostics
     mean: float
     std: float
+    # (L, C) per-layer squared distances to the global model, from the same
+    # pass as ``divergence``; layerwise_weights takes them from here
+    layer_divergence: np.ndarray | None = None
 
 
 @dataclass
@@ -147,12 +150,14 @@ def reliability_scores(updates: list[ClientUpdate],
         raise ValueError("no updates to score")
     if any(u.n_samples <= 0 for u in updates):
         raise ValueError("updates must carry positive sample counts")
-    e = np.array(weight_divergence(global_params, [u.params for u in updates]))
+    layers = np.empty((global_params.num_layers, len(updates)))
+    e = np.array(weight_divergence(global_params, [u.params for u in updates],
+                                   layers))
     h_per_sample = np.array([u.h / u.n_samples for u in updates])
     q = e * h_per_sample
     return ReliabilityScores(
         updates[0].round_idx, [u.client_id for u in updates], q, e,
-        float(q.mean()), float(q.std()))
+        float(q.mean()), float(q.std()), layers)
 
 
 def detect_noisy(scores: ReliabilityScores,
@@ -199,23 +204,30 @@ def penalty_m(client_id: int, round_idx: int, flagged_now: set[int],
 
 def layerwise_weights(updates: list[ClientUpdate],
                       global_params: nn.ModelParams, flagged_now: set[int],
-                      round_idx: int, config: ServerConfig) -> np.ndarray:
+                      round_idx: int, config: ServerConfig,
+                      layer_divergence: np.ndarray | None = None) -> np.ndarray:
     """L x C weight matrix: per layer, normalize N^c scores discounted by the
     layer distance d = 1 + ||theta_l^G - theta_l^c||^2 and the penalty.
 
     ``divisor`` mode computes w ∝ N/(m·d) so flagged clients shrink;
     ``literal`` mode computes w ∝ m·N/d (the multiplicative reading).
+    ``layer_divergence`` is the (L, C) matrix of squared layer distances to
+    ``global_params`` that ``reliability_scores`` records; it is computed
+    when omitted.
     """
     n_layers = global_params.num_layers
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
     penalties = np.array([
         penalty_m(u.client_id, round_idx, flagged_now, config.tau, config.t_k)
         for u in updates])
+    if layer_divergence is None:
+        layer_divergence = np.empty((n_layers, len(updates)))
+        weight_divergence(global_params, [u.params for u in updates],
+                          layer_divergence)
+    d = 1.0 + layer_divergence
     w = np.zeros((n_layers, len(updates)))
     for l in range(n_layers):
-        d = np.array([1.0 + nn.layer_sq_distance(global_params, u.params, l)
-                      for u in updates])
-        base = sizes / d
+        base = sizes / d[l]
         if config.penalty_mode == PENALTY_DIVISOR:
             score = base / penalties
         elif config.penalty_mode == PENALTY_LITERAL:
@@ -240,9 +252,11 @@ def aggregate_layerwise(updates: list[ClientUpdate],
     if np.abs(weights.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("every layer row must sum to 1")
     out = np.zeros_like(first.flat)
+    scaled = np.empty_like(first.flat)
     for column, u in zip(weights.T, updates):
         for w, block in zip(column, first.layer_slices):
-            out[block] += w * u.params.flat[block]
+            np.multiply(u.params.flat[block], w, out=scaled[block])
+        out += scaled
     return nn.ModelParams.from_flat(out, first.shapes, first.activations)
 
 
@@ -301,14 +315,14 @@ class Experiment:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(work, self.assignments))
 
-    def _aggregate(self, updates: list[ClientUpdate],
+    def _aggregate(self, updates: list[ClientUpdate], scores: ReliabilityScores,
                    flagged: set[int], round_idx: int
                    ) -> tuple[nn.ModelParams, np.ndarray]:
         cfg = self.config
         n_layers = self.global_params.num_layers
         if cfg.aggregator == FED_NCL:
             w = layerwise_weights(updates, self.global_params, flagged,
-                                  round_idx, cfg)
+                                  round_idx, cfg, scores.layer_divergence)
             return aggregate_layerwise(updates, w), w
         if cfg.aggregator in (FEDAVG, FEDPROX):
             row = fedavg_weights(updates, cfg.unweighted)
@@ -339,7 +353,8 @@ class Experiment:
         noisy, clean = detect_noisy(scores, cfg.beta)
         self.history.record(noisy, clean)
 
-        new_global, weight_matrix = self._aggregate(updates, noisy, round_idx)
+        new_global, weight_matrix = self._aggregate(updates, scores, noisy,
+                                                    round_idx)
 
         corrected_ids: set[int] = set()
         relabeled: dict[int, int] = {}

@@ -78,6 +78,28 @@ def test_available_rounds(tmp_path):
     assert checkpoint.available_rounds(tmp_path) == [10, 20, 30]
 
 
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    def half_dump(obj, fh, **kwargs):
+        fh.write('{"round": ')
+        raise OSError("disk full")
+
+    g = model(9)
+    kept = checkpoint.save_round(tmp_path / "kept", 10, g, [g], [0.0])
+    kept_bytes = open(os.path.join(kept, checkpoint.MANIFEST_NAME), "rb").read()
+    monkeypatch.setattr(checkpoint.json, "dump", half_dump)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.save_round(tmp_path / "new", 10, g, [g], [0.0])
+    path = checkpoint.round_dir(tmp_path / "new", 10)
+    assert sorted(os.listdir(path)) == ["client_000.bin", "global.bin"]
+    # a failed rewrite leaves the previous manifest whole
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.save_round(tmp_path / "kept", 10, g, [g], [0.0])
+    assert sorted(os.listdir(kept)) == [
+        "client_000.bin", "global.bin", checkpoint.MANIFEST_NAME]
+    assert open(os.path.join(kept, checkpoint.MANIFEST_NAME),
+                "rb").read() == kept_bytes
+
+
 def test_missing_manifest_lists_expected_path(tmp_path):
     with pytest.raises(FileNotFoundError, match="manifest"):
         checkpoint.load_round(tmp_path)

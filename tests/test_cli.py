@@ -69,6 +69,17 @@ def test_negative_workers_flag_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "noise-preview"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, base_config(tmp_path / "o", seed=-1))
+    assert main([command, "--config", path]) == 2
+    assert "seed" in capsys.readouterr().err
+    path = write_config(tmp_path, base_config(tmp_path / "o"), "ok.json")
+    assert main([command, "--config", path, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     path = write_config(tmp_path, base_config(out1))

@@ -1,5 +1,7 @@
 """Unit tests for local training, data-quality loss, and label correction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from fednoisy import client, data, nn
 from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig
+from fednoisy.errors import NumericError
+from tests_util import model_stacks
 
 
 def blob_dataset(k=3, per_class=40, dim=6, spread=0.5, seed=0):
@@ -85,6 +89,84 @@ def test_local_train_matches_manual_sgd_loop():
                for w1, w2 in zip(update.params.weights, params.weights))
 
 
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(counts=st.just(1)), st.integers(1, 20), st.integers(1, 8),
+       st.integers(1, 3), st.sampled_from([1e-3, 0.05]),
+       st.sampled_from([0.0, 0.01, 1.0]), st.integers(0, 2**32 - 1))
+def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
+                                                       epochs, lr, mu, seed):
+    # the reference: fresh gradients, the additive proximal term, nn.sgd_step
+    g = models[0]
+    rng = np.random.default_rng(seed)
+    ds = data.LabeledDataset(rng.normal(size=(n, g.in_dim)),
+                             rng.integers(0, g.out_dim, size=n), g.out_dim)
+    a = whole_dataset_assignment(ds, client_id=3)
+    cfg = ClientConfig(lr=lr, local_epochs=epochs, batch_size=batch,
+                       prox_mu=mu)
+
+    order_rng = np.random.default_rng((seed, 3, 4))
+    params = g.copy()
+    for _ in range(epochs):
+        order = order_rng.permutation(n)
+        for start in range(0, n, batch):
+            chunk = order[start:start + batch]
+            _, grad = nn.loss_and_grad(params, ds.features[chunk],
+                                       ds.labels[chunk])
+            if mu > 0:
+                grad = nn.ModelParams.from_flat(
+                    grad.flat + mu * (params.flat - g.flat), g.shapes,
+                    g.activations)
+            params = nn.sgd_step(params, grad, lr)
+
+    if not params.all_finite():
+        with pytest.raises(NumericError):
+            client.local_train(g, a, ds, cfg, round_idx=4, seed=seed)
+        return
+    update = client.local_train(g, a, ds, cfg, round_idx=4, seed=seed)
+    assert np.array_equal(update.params.flat, params.flat)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
+    # parameters (~355 KB) dwarf a step's batch-sized temporaries, so a
+    # parameter-sized buffer made in a step shows in that step's peak
+    rng = np.random.default_rng(0)
+    ds = data.LabeledDataset(rng.normal(size=(4, 100)),
+                             rng.integers(0, 10, size=4), 10)
+    a = whole_dataset_assignment(ds)
+    g = fresh_params(ds, hidden=(400,))
+
+    def train(epochs):   # two steps of 2 rows an epoch
+        cfg = ClientConfig(lr=0.01, local_epochs=epochs, batch_size=2,
+                           prox_mu=mu)
+        client.local_train(g, a, ds, cfg, round_idx=1, seed=0)
+
+    assert traced_peak(lambda: train(20)) <= traced_peak(lambda: train(1)) + 4096
+
+    marks = []   # (traced now, peak since the previous step began) per step
+    real = nn.loss_and_grad
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", marked)
+    traced_peak(lambda: train(20))
+    assert len(marks) == 40
+    step_growth = [peak - now for (now, _), (_, peak) in zip(marks, marks[1:])]
+    assert max(step_growth) < g.flat.nbytes // 4
+
+
 def test_prox_term_pulls_toward_global():
     # the additive prox gradient is a stable contraction only for lr*mu < 2;
     # mu = 10 at lr = 0.05 sits safely inside that range
@@ -97,6 +179,13 @@ def test_prox_term_pulls_toward_global():
             g, a, ds, ClientConfig(lr=0.05, local_epochs=5, prox_mu=mu), 1, seed=7)
         dists.append(nn.param_sq_distance(u.params, g))
     assert dists[2] < dists[1] < dists[0]
+
+
+def test_zero_local_epochs_rejected():
+    ds = blob_dataset()
+    with pytest.raises(ValueError, match="local_epochs"):
+        client.local_train(fresh_params(ds), whole_dataset_assignment(ds), ds,
+                           ClientConfig(local_epochs=0), 1, seed=0)
 
 
 def test_empty_assignment_rejected():

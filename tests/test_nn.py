@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fednoisy import nn
 from fednoisy.errors import ShapeError
+from tests_util import model_stacks
 
 
 def small_net(seed=0, sizes=(2, 3, 2)):
@@ -207,6 +208,28 @@ def test_loss_nonnegative_random():
         assert loss >= 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(counts=st.integers(2, 2)), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_loss_and_grad_into_dirty_buffer_equals_fresh_call(models, n, seed):
+    params, dirty = models
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, params.in_dim))
+    y = rng.integers(0, params.out_dim, size=n)
+    loss, fresh = nn.loss_and_grad(params, x, y)
+    got_loss, got = nn.loss_and_grad(params, x, y, out=dirty)
+    assert got is dirty
+    assert got_loss == loss
+    assert np.array_equal(got.flat, fresh.flat)
+
+
+def test_loss_and_grad_rejects_mismatched_buffer():
+    p = small_net(sizes=(2, 3, 2))
+    with pytest.raises(ShapeError):
+        nn.loss_and_grad(p, np.ones((2, 2)), np.array([0, 1]),
+                         out=small_net(sizes=(2, 4, 2)))
+
+
 # ------------------------------------------------------------------- sgd
 
 def test_sgd_zero_lr_is_identity():
@@ -296,6 +319,23 @@ def test_layer_distance_out_of_range():
 def test_distance_symmetry():
     a, b = small_net(seed=1), small_net(seed=9)
     assert nn.param_sq_distance(a, b) == nn.param_sq_distance(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(), st.booleans())
+def test_sq_distances_equal_the_two_distance_functions_bitwise(models, reuse):
+    a = models[0]
+    scratch = np.full_like(a.flat, np.nan) if reuse else None
+    for b in models[1:]:
+        total, per_layer = nn.sq_distances(a, b, out=scratch)
+        assert total == nn.param_sq_distance(a, b)
+        assert per_layer == [nn.layer_sq_distance(a, b, l)
+                             for l in range(a.num_layers)]
+
+
+def test_sq_distances_reject_mismatched_models():
+    with pytest.raises(ShapeError):
+        nn.sq_distances(small_net(sizes=(2, 3, 2)), small_net(sizes=(2, 4, 2)))
 
 
 # ---------------------------------------------------- predict_confidences

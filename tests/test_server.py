@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fednoisy import data, nn, server
@@ -570,3 +570,81 @@ def test_aggregates_stay_within_client_hull(models, data_):
     assert_within_client_hull(aggregate_fedavg(updates), models)
     assert_within_client_hull(aggregate_layerwise(updates, rows), models)
     assert_within_client_hull(aggregate_trimmed_mean(updates, trim), models)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_aggregate_layerwise_equals_block_loop_bitwise(models, data_):
+    c, n_layers = len(models), models[0].num_layers
+    raw = np.array(data_.draw(st.lists(
+        st.floats(1e-3, 1.0), min_size=n_layers * c, max_size=n_layers * c)))
+    rows = raw.reshape(n_layers, c)
+    rows /= rows.sum(axis=1, keepdims=True)
+    want = np.zeros_like(models[0].flat)
+    for column, m in zip(rows.T, models):
+        for w, block in zip(column, m.layer_slices):
+            want[block] += w * m.flat[block]
+    got = aggregate_layerwise(stack_updates(models, [1] * c), rows)
+    assert np.array_equal(got.flat, want)
+
+
+def draw_weighting(models, data_):
+    """Updates over ``models`` (random sizes and h), a flagged subset, a
+    round and a server config."""
+    c = len(models)
+    sizes = data_.draw(st.lists(st.integers(1, 50), min_size=c, max_size=c))
+    h = data_.draw(st.lists(st.floats(1e-3, 100.0), min_size=c, max_size=c))
+    updates = [ClientUpdate(i, m, hi, n, 1)
+               for i, (m, n, hi) in enumerate(zip(models, sizes, h))]
+    flagged = data_.draw(st.sets(st.integers(0, c - 1)))
+    cfg = ServerConfig(penalty_mode=data_.draw(st.sampled_from(
+        [server.PENALTY_DIVISOR, server.PENALTY_LITERAL])))
+    return updates, flagged, data_.draw(st.integers(1, 30)), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_layerwise_weights_equal_per_layer_distance_loop_bitwise(models, data_):
+    updates, flagged, rnd, cfg = draw_weighting(models, data_)
+    g = models[0]
+    sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
+    m = np.array([penalty_m(u.client_id, rnd, flagged, cfg.tau, cfg.t_k)
+                  for u in updates])
+    dist = np.array([[nn.layer_sq_distance(g, u.params, l) for u in updates]
+                     for l in range(g.num_layers)])
+    want = np.zeros((g.num_layers, len(updates)))
+    for l in range(g.num_layers):
+        d = np.array([1.0 + v for v in dist[l]])
+        score = sizes / d / m if cfg.penalty_mode == server.PENALTY_DIVISOR \
+            else sizes / d * m
+        want[l] = score / score.sum()
+    got = layerwise_weights(updates, g, flagged, rnd, cfg)
+    assert np.array_equal(got, want)
+    # a round passes the distances that reliability_scores recorded
+    shared = reliability_scores(updates, g).layer_divergence
+    assert np.array_equal(shared, dist)
+    assert np.array_equal(
+        layerwise_weights(updates, g, flagged, rnd, cfg, shared), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(), st.data())
+def test_client_order_permutes_weights_and_keeps_flagged_set(models, data_):
+    updates, flagged, rnd, cfg = draw_weighting(models, data_)
+    g = data_.draw(st.sampled_from(models))
+    perm = data_.draw(st.permutations(range(len(updates))))
+    shuffled = [updates[i] for i in perm]
+
+    w = layerwise_weights(updates, g, flagged, rnd, cfg)
+    w_shuffled = layerwise_weights(shuffled, g, flagged, rnd, cfg)
+    assert np.allclose(w_shuffled, w[:, perm], rtol=1e-12, atol=0)
+
+    beta = data_.draw(st.floats(0.05, 2.0))
+    scores = reliability_scores(updates, g)
+    threshold = scores.mean + beta * scores.std
+    # summing q in another order moves the threshold by ulps; a q that close
+    # to it may legitimately flip
+    assume(not np.any(np.abs(scores.q - threshold)
+                      <= 1e-9 * abs(threshold)))
+    assert detect_noisy(reliability_scores(shuffled, g), beta) == \
+        detect_noisy(scores, beta)
