@@ -4,7 +4,9 @@ A blob is a model's ``ModelParams.flat`` buffer verbatim (W0, b0, W1, b1, ...).
 
 A round directory holds ``global.bin``, one ``client_###.bin`` per client,
 and ``manifest.json`` recording layer shapes, activations, and the ground
-truth noise rates (so CKA analysis can split noisy/clean groups later).
+truth noise rates (so CKA analysis can split noisy/clean groups later). A
+run also records ``probe_id``, the fingerprint of its CKA probe, so that
+``cka`` can refuse a config that rebuilds a different probe.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def round_dir(base_dir, round_idx: int) -> str:
 
 
 def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
-               client_params: list[nn.ModelParams], noise_rates) -> str:
+               client_params: list[nn.ModelParams], noise_rates, *,
+               probe_id: str | None = None) -> str:
     path = round_dir(base_dir, round_idx)
     os.makedirs(path, exist_ok=True)
     manifest = {
@@ -55,6 +58,8 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
         "global": GLOBAL_NAME,
         "clients": [f"client_{c:03d}.bin" for c in range(len(client_params))],
     }
+    if probe_id is not None:
+        manifest["probe_id"] = probe_id
     with open(os.path.join(path, GLOBAL_NAME), "wb") as fh:
         fh.write(params_to_blob(global_params))
     for name, params in zip(manifest["clients"], client_params):
@@ -75,8 +80,9 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
     return path
 
 
-def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float], int]:
-    """Returns (global, clients, noise_rates, round_idx) for a round directory."""
+def read_manifest(path) -> dict:
+    """The manifest of a round directory, checked for the keys load_round
+    reads."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(
@@ -87,6 +93,12 @@ def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float],
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
                               f"key(s) {', '.join(missing)}")
+    return manifest
+
+
+def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float], int]:
+    """Returns (global, clients, noise_rates, round_idx) for a round directory."""
+    manifest = read_manifest(path)
     shapes = manifest["layer_shapes"]
     acts = manifest["activations"]
 

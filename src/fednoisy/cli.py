@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, analysis, checkpoint, data, server
 from .analysis import _f, mean_last_accuracy
 from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_config,
-                     build_datasets, config_to_dict, parse_config)
+                     build_datasets, build_probe, config_to_dict,
+                     parse_config)
 from .errors import ConfigError
 from .server import Experiment, detection_precision_recall
 
@@ -108,12 +109,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     hook = None
     if cfg.save_checkpoints:
         ckpt_dir = os.path.join(out_dir, "checkpoints")
+        probe_id = analysis.probe_fingerprint(test.features[:CKA_PROBE_SIZE])
 
         def hook(round_idx, updates, new_global, _dir=ckpt_dir):
             if round_idx % cfg.checkpoint_every == 0:
                 checkpoint.save_round(_dir, round_idx, new_global,
                                       [u.params for u in updates],
-                                      exp.noise_rates)
+                                      exp.noise_rates, probe_id=probe_id)
 
     exp = _build_experiment(cfg, train, test, round_hook=hook)
     metrics = exp.run()
@@ -187,8 +189,6 @@ def cmd_noise_preview(cfg: ExperimentConfig) -> int:
 
 
 def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
-    out_dir = _ensure_out_dir(cfg)
-    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     ckpt_base = os.path.join(cfg.out_dir, "checkpoints")
     rounds = checkpoint.available_rounds(ckpt_base)
     if round_idx is None:
@@ -198,10 +198,18 @@ def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
                 f"save_checkpoints=true first (expected {ckpt_base}/round_NNNN/)")
         round_idx = rounds[-1]
     path = checkpoint.round_dir(ckpt_base, round_idx)
-    global_params, client_models, noise_rates, _ = checkpoint.load_round(path)
+    stored_id = checkpoint.read_manifest(path).get("probe_id")
+    probe = build_probe(cfg, CKA_PROBE_SIZE)
+    probe_id = analysis.probe_fingerprint(probe)
+    if stored_id != probe_id:
+        raise ConfigError(
+            f"checkpoint {path} was written for CKA probe "
+            f"{stored_id or '(none recorded)'}, but this config gives probe "
+            f"{probe_id}; run cka with the config and --seed of the run")
 
-    _, test = build_datasets(cfg)
-    probe = test.features[:CKA_PROBE_SIZE]
+    out_dir = _ensure_out_dir(cfg)
+    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+    global_params, client_models, noise_rates, _ = checkpoint.load_round(path)
     noisy_ids = [c for c, r in enumerate(noise_rates) if r > 0]
     report = analysis.cka_layer_report(client_models, global_params, probe,
                                        noisy_ids)

@@ -70,6 +70,15 @@ def test_round_save_load(tmp_path):
     assert np.array_equal(back_clients[1].weights[1], clients[1].weights[1])
 
 
+def test_manifest_records_probe_id_when_given(tmp_path):
+    g = model(8)
+    with_id = checkpoint.save_round(tmp_path / "a", 10, g, [g], [0.0],
+                                    probe_id="n512d784-0123456789ab")
+    without = checkpoint.save_round(tmp_path / "b", 10, g, [g], [0.0])
+    assert checkpoint.read_manifest(with_id)["probe_id"] == "n512d784-0123456789ab"
+    assert "probe_id" not in checkpoint.read_manifest(without)
+
+
 def test_available_rounds(tmp_path):
     assert checkpoint.available_rounds(tmp_path / "nothing") == []
     g = model(7)

@@ -3,11 +3,16 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fednoisy.cli import main
+from fednoisy import analysis, checkpoint, cli
+from fednoisy.cli import CKA_PROBE_SIZE, main
+from fednoisy.config import (build_config, build_datasets, build_probe,
+                             config_to_dict, parse_config)
+from tests_util import write_idx_pair
 
 
 def base_config(out_dir, **overrides):
@@ -225,11 +230,12 @@ def test_noise_preview_trunc_gauss_rates_in_bounds(tmp_path):
 
 # ---------------------------------------------------------------------- cka
 
-def cka_run(tmp_path, rounds=4, every=2):
+def cka_run(tmp_path, rounds=4, every=2, **overrides):
     out = tmp_path / "cka"
     cfg = base_config(out, save_checkpoints=True, checkpoint_every=every,
                       noise={"mode": "fixed", "rates": [0.0, 0.0, 1.0, 1.0]},
-                      server={"aggregator": "fed_ncl", "rounds": rounds})
+                      server={"aggregator": "fed_ncl", "rounds": rounds},
+                      **overrides)
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", path]) == 0
     return out, path
@@ -286,3 +292,97 @@ def test_identical_checkpoints_give_unit_matrices(tmp_path):
     rows = list(csv.reader(open(out / "cka_layer_0.csv")))
     mat = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     assert np.allclose(mat, 1.0, atol=1e-6)
+
+
+def idx_dataset(tmp_path):
+    """A tiny 3-class IDX train/test pair (4x4 images) as a dataset section."""
+    rng = np.random.default_rng(0)
+    section = {"kind": "mnist"}
+    for split, n, keys in (("train", 150, ("images", "labels")),
+                           ("test", 80, ("test_images", "test_labels"))):
+        labels = rng.integers(0, 3, size=n).astype(np.uint8)
+        noise = rng.integers(0, 60, size=(n, 4, 4))
+        images = (noise + 60 * labels[:, None, None]).astype(np.uint8)
+        split_dir = tmp_path / split
+        split_dir.mkdir()
+        paths = write_idx_pair(split_dir, images, labels)
+        section.update({key: str(p) for key, p in zip(keys, paths)})
+    return section
+
+
+def cka_outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("cka_*.csv"))}
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "idx"])
+def test_cka_rebuilds_only_the_probe(tmp_path, monkeypatch, kind):
+    overrides = {"dataset": idx_dataset(tmp_path)} if kind == "idx" else {}
+    out, path = cka_run(tmp_path, **overrides)
+    # the report on the probe sliced from the full datasets
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_probe", lambda cfg, size:
+                   build_datasets(cfg)[1].features[:size])
+        assert main(["cka", "--config", path]) == 0
+    want = cka_outputs(out)
+    assert len(want) == 3
+    for name in want:
+        os.remove(out / name)
+
+    def no_full_build(cfg):
+        raise AssertionError("cka built the full datasets")
+
+    monkeypatch.setattr(cli, "build_datasets", no_full_build)
+    if kind == "idx":
+        cfg = parse_config(path)
+        os.remove(cfg.dataset.images)
+        os.remove(cfg.dataset.labels)
+    assert main(["cka", "--config", path]) == 0
+    assert cka_outputs(out) == want
+
+
+def test_cka_refuses_a_different_probe(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    manifest = checkpoint.read_manifest(
+        checkpoint.round_dir(out / "checkpoints", 4))
+    other = build_config({**config_to_dict(parse_config(path)), "seed": 5})
+    other_id = analysis.probe_fingerprint(build_probe(other, CKA_PROBE_SIZE))
+    assert other_id != manifest["probe_id"]
+    echo = (out / "config_echo.json").read_bytes()
+    assert main(["cka", "--config", path, "--seed", "5"]) == 2
+    err = capsys.readouterr().err
+    assert manifest["probe_id"] in err and other_id in err
+    assert (out / "config_echo.json").read_bytes() == echo
+    assert cka_outputs(out) == {}
+
+
+def test_cka_refuses_a_manifest_without_probe_id(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    manifest_path = os.path.join(checkpoint.round_dir(out / "checkpoints", 4),
+                                 checkpoint.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    probe_id = manifest.pop("probe_id")
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["cka", "--config", path]) == 2
+    assert probe_id in capsys.readouterr().err
+    assert cka_outputs(out) == {}
+
+
+def test_cka_peak_memory_below_one_pool(tmp_path):
+    out = tmp_path / "mem"
+    cfg = base_config(out, dataset={"classes": 10, "dims": 784, "spread": 2.0},
+                      subset_size=2000, test_size=1000, hidden_dims=[64, 32],
+                      save_checkpoints=True, checkpoint_every=1,
+                      client={"local_epochs": 1, "batch_size": 60},
+                      server={"rounds": 1})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 0
+    pool_bytes = 3000 * 784 * 8
+    tracemalloc.start()
+    try:
+        assert main(["cka", "--config", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pool_bytes

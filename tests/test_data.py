@@ -1,37 +1,20 @@
 """Unit tests for dataset synthesis, partitioning, and noise injection."""
 
-import gzip
 import os
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fednoisy import data, nn
 from fednoisy.errors import DataFormatError
-from tests_util import truncated_normal_cdf, truncated_normal_mean
+from tests_util import (truncated_normal_cdf, truncated_normal_mean,
+                        write_idx_pair)
 
 
 # ---------------------------------------------------------------- load_idx
-
-def write_idx_pair(tmp_path, images, labels, gz=False, image_magic=0x803,
-                   label_magic=0x801, truncate=0):
-    n, rows, cols = images.shape
-    img_bytes = struct.pack(">IIII", image_magic, n, rows, cols) + images.tobytes()
-    lbl_bytes = struct.pack(">II", label_magic, len(labels)) + bytes(labels)
-    if truncate:
-        img_bytes = img_bytes[:-truncate]
-    suffix = ".gz" if gz else ""
-    img_path = tmp_path / f"images.idx{suffix}"
-    lbl_path = tmp_path / f"labels.idx{suffix}"
-    opener = gzip.open if gz else open
-    with opener(img_path, "wb") as fh:
-        fh.write(img_bytes)
-    with opener(lbl_path, "wb") as fh:
-        fh.write(lbl_bytes)
-    return img_path, lbl_path
-
 
 def tiny_images():
     return np.array([[[0, 255], [128, 64]],
@@ -115,6 +98,31 @@ def test_synthetic_determinism():
     b = data.make_synthetic(3, 20, 4, 0.3, seed=9)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 9),
+       st.floats(-1e300, 1e300), st.integers(0, 2**64 - 1), st.data())
+def test_synthetic_rows_equal_pool_rows_bitwise(chunk, classes, per_class, dim,
+                                                spread, seed, data_):
+    n = classes * per_class
+    rows = np.array(data_.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                        max_size=2 * n)))
+    pool = data.make_synthetic(classes, per_class, dim, spread, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_SYNTH_CHUNK_ROWS", chunk)
+        got = data.synthetic_rows(classes, per_class, dim, spread, seed, rows)
+    assert got.features.tobytes() == pool.features[rows].tobytes()
+    assert np.array_equal(got.labels, pool.labels[rows])
+    assert got.num_classes == classes
+
+
+def test_synthetic_rows_reject_rows_outside_pool():
+    with pytest.raises(IndexError):
+        data.synthetic_rows(2, 3, 4, 1.0, 0, [6])
+    with pytest.raises(IndexError):
+        data.synthetic_rows(2, 3, 4, 1.0, 0, [-1])
 
 
 def test_synthetic_trainable_by_mlp():

@@ -648,3 +648,47 @@ def test_client_order_permutes_weights_and_keeps_flagged_set(models, data_):
                       <= 1e-9 * abs(threshold)))
     assert detect_noisy(reliability_scores(shuffled, g), beta) == \
         detect_noisy(scores, beta)
+
+
+def assert_close_to_client_scale(got, want, models):
+    # summing clients in another order moves a coordinate by ulps of the
+    # largest client value there, not of the (possibly cancelled) result
+    scale = np.abs(np.stack([m.flat for m in models])).max(axis=0)
+    assert (np.abs(got.flat - want.flat) <= 1e-12 * scale).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_aggregates_invariant_under_client_order(models, data_):
+    c, n_layers = len(models), models[0].num_layers
+    sizes = data_.draw(st.lists(st.integers(1, 50), min_size=c, max_size=c))
+    raw = np.array(data_.draw(st.lists(
+        st.floats(1e-3, 1.0), min_size=n_layers * c, max_size=n_layers * c)))
+    rows = raw.reshape(n_layers, c)
+    rows /= rows.sum(axis=1, keepdims=True)
+    trim = data_.draw(st.floats(0.0, 49.0))
+    unweighted = data_.draw(st.booleans())
+    perm = data_.draw(st.permutations(range(c)))
+    updates = stack_updates(models, sizes)
+    shuffled = [updates[i] for i in perm]
+
+    assert_close_to_client_scale(aggregate_fedavg(shuffled, unweighted),
+                                 aggregate_fedavg(updates, unweighted), models)
+    assert_close_to_client_scale(aggregate_trimmed_mean(shuffled, trim),
+                                 aggregate_trimmed_mean(updates, trim), models)
+    assert_close_to_client_scale(aggregate_layerwise(shuffled, rows[:, perm]),
+                                 aggregate_layerwise(updates, rows), models)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(), st.floats(1e-6, 1e6), st.floats(0.05, 2.0), st.data())
+def test_detect_noisy_invariant_under_q_scaling(models, factor, beta, data_):
+    g = data_.draw(st.sampled_from(models))
+    q = reliability_scores(stack_updates(models, [1] * len(models)), g).q
+    scores = scores_from(q)
+    threshold = scores.mean + beta * scores.std
+    # scaling rounds q, its mean and its std by ulps; a q that close to the
+    # threshold may legitimately flip
+    assume(not np.any(np.abs(q - threshold) <= 1e-9 * abs(threshold)))
+    assert detect_noisy(scores_from(factor * q), beta) == \
+        detect_noisy(scores, beta)

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite (oracles and tiny builders)."""
 
+import gzip
 import math
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,6 +17,26 @@ def flatten_params(params):
         parts.append(w.ravel())
         parts.append(b.ravel())
     return np.concatenate(parts)
+
+
+def write_idx_pair(tmp_path, images, labels, gz=False, image_magic=0x803,
+                   label_magic=0x801, truncate=0):
+    """Write (n, rows, cols) uint8 images and their labels as an IDX pair
+    ``images.idx``/``labels.idx`` (``.gz`` with ``gz``) under ``tmp_path``."""
+    n, rows, cols = images.shape
+    img_bytes = struct.pack(">IIII", image_magic, n, rows, cols) + images.tobytes()
+    lbl_bytes = struct.pack(">II", label_magic, len(labels)) + bytes(labels)
+    if truncate:
+        img_bytes = img_bytes[:-truncate]
+    suffix = ".gz" if gz else ""
+    img_path = tmp_path / f"images.idx{suffix}"
+    lbl_path = tmp_path / f"labels.idx{suffix}"
+    opener = gzip.open if gz else open
+    with opener(img_path, "wb") as fh:
+        fh.write(img_bytes)
+    with opener(lbl_path, "wb") as fh:
+        fh.write(lbl_bytes)
+    return img_path, lbl_path
 
 
 @st.composite
