@@ -191,12 +191,16 @@ def cmd_noise_preview(cfg: ExperimentConfig) -> int:
 def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
     ckpt_base = os.path.join(cfg.out_dir, "checkpoints")
     rounds = checkpoint.available_rounds(ckpt_base)
+    if not rounds:
+        raise FileNotFoundError(
+            f"no checkpoints under {ckpt_base}; run with "
+            f"save_checkpoints=true first (expected {ckpt_base}/round_NNNN/)")
     if round_idx is None:
-        if not rounds:
-            raise FileNotFoundError(
-                f"no checkpoints under {ckpt_base}; run with "
-                f"save_checkpoints=true first (expected {ckpt_base}/round_NNNN/)")
         round_idx = rounds[-1]
+    elif round_idx not in rounds:
+        raise ConfigError(
+            f"no checkpoint for round {round_idx} under {ckpt_base}; saved "
+            f"rounds: {', '.join(map(str, rounds))}")
     path = checkpoint.round_dir(ckpt_base, round_idx)
     stored_id = checkpoint.read_manifest(path).get("probe_id")
     probe = build_probe(cfg, CKA_PROBE_SIZE)

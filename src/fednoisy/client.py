@@ -74,6 +74,11 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
     with the same arithmetic as ``nn.sgd_step``. One gradient buffer (and,
     with ``prox_mu`` > 0, one scratch vector for the proximal term) serves
     every step.
+
+    With ``h_on`` = global, ``h`` reuses the first step's forward pass of the
+    received model: that batch's row losses, plus one more pass over the rest
+    of the first epoch's order, give ``data_quality_loss(global_params, ...)``
+    (bit for bit wherever the BLAS rounds a row the same in a smaller batch).
     """
     n = len(assignment)
     if n == 0:
@@ -90,12 +95,19 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
     grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
                                     params.activations)
     pull = np.empty_like(params.flat) if config.prox_mu > 0 else None
+    # the received model's row losses, in the first epoch's order
+    h_rows = np.empty(n) if config.h_on == H_ON_GLOBAL else None
+    first_rows = None if h_rows is None else h_rows[:config.batch_size]
     current = global_params
-    for _ in range(config.local_epochs):
+    for epoch in range(config.local_epochs):
         order = rng.permutation(n)
+        if epoch == 0:
+            first_order = order
         for start in range(0, n, config.batch_size):
             chunk = order[start:start + config.batch_size]
-            nn.loss_and_grad(current, x[chunk], y[chunk], out=grad)
+            nn.loss_and_grad(current, x[chunk], y[chunk], out=grad,
+                             row_losses=first_rows
+                             if current is global_params else None)
             if pull is not None:
                 np.subtract(current.flat, global_params.flat, out=pull)
                 pull *= config.prox_mu
@@ -108,8 +120,17 @@ def local_train(global_params: nn.ModelParams, assignment: ClientAssignment,
         raise NumericError(
             f"client {assignment.client_id} diverged to non-finite parameters")
 
-    h_params = global_params if config.h_on == H_ON_GLOBAL else params
-    h = data_quality_loss(h_params, assignment, dataset)
+    if h_rows is None:
+        h = data_quality_loss(params, assignment, dataset)
+    else:
+        rest = first_order[config.batch_size:]
+        if rest.size:
+            nn.cross_entropy(global_params, x[rest], y[rest],
+                             row_losses=h_rows[config.batch_size:])
+        losses = np.empty(n)
+        losses[first_order] = h_rows
+        # data_quality_loss's sum, over the rows in assignment order
+        h = float(losses.mean()) * n
     return ClientUpdate(assignment.client_id, params, h, n, round_idx)
 
 

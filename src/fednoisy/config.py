@@ -285,11 +285,14 @@ def build_datasets(cfg: ExperimentConfig):
     return train, test
 
 
-def _load_test_idx(cfg: ExperimentConfig) -> data.LabeledDataset:
-    test = data.load_idx(cfg.dataset.test_images, cfg.dataset.test_labels)
-    if cfg.test_size and cfg.test_size < len(test):
-        test = test.subset(slice(0, cfg.test_size))
-    return test
+def _load_test_idx(cfg: ExperimentConfig, size: int | None = None
+                   ) -> data.LabeledDataset:
+    """The first ``test_size`` test images (all with 0), at most ``size``."""
+    count = cfg.test_size or None
+    if size is not None:
+        count = size if count is None else min(count, size)
+    return data.load_idx(cfg.dataset.test_images, cfg.dataset.test_labels,
+                         count)
 
 
 def build_probe(cfg: ExperimentConfig, size: int) -> np.ndarray:
@@ -303,4 +306,4 @@ def build_probe(cfg: ExperimentConfig, size: int) -> np.ndarray:
         rows = np.arange(cfg.subset_size,
                          cfg.subset_size + min(size, cfg.test_size))
         return data.synthetic_rows(*_synthetic_pool_args(cfg), rows).features
-    return _load_test_idx(cfg).features[:size].copy()
+    return _load_test_idx(cfg, size).features

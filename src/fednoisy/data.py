@@ -118,19 +118,25 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
+def load_idx(images_path, labels_path, count: int | None = None
+             ) -> LabeledDataset:
     """Load an IDX image/label pair (big-endian; .gz accepted by suffix).
 
-    Pixels are scaled to [0, 1]; image and label counts must agree.
+    Pixels are scaled to [0, 1]; image and label counts must agree. With
+    ``count``, only the first ``count`` images are read and kept; the label
+    file is still read whole, so ``num_classes`` and the count check are
+    those of the full pair.
     """
     with _open_maybe_gzip(images_path) as fh:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(
                 f"bad image magic 0x{magic:08x} in {images_path}")
-        raw = _read_exact(fh, n * rows * cols, "pixels")
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(n, rows * cols)
+        keep = n if count is None else min(count, n)
+        raw = _read_exact(fh, keep * rows * cols, "pixels")
+    features = np.frombuffer(raw, dtype=np.uint8).reshape(
+        keep, rows * cols).astype(np.float64)
+    features /= 255.0
 
     with _open_maybe_gzip(labels_path) as fh:
         magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, "label header"))
@@ -143,7 +149,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     if n_labels != n:
         raise DataFormatError(
             f"image/label count mismatch: {n} images vs {n_labels} labels")
-    return LabeledDataset(features, labels, int(labels.max()) + 1 if n else 0)
+    return LabeledDataset(features, labels[:keep],
+                          int(labels.max()) + 1 if n else 0)
 
 
 def _synthetic_blobs(num_classes: int, per_class: int, dim: int, seed):

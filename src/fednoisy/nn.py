@@ -185,12 +185,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray
+def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
+                  row_losses: np.ndarray | None = None
                   ) -> tuple[float, list[np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy of a labelled batch under ``params``.
 
     Also returns the per-layer activations and the log-probabilities, which
-    :func:`loss_and_grad` backpropagates through.
+    :func:`loss_and_grad` backpropagates through. Each row's loss is written
+    into ``row_losses`` (a float64 vector of the batch's length) when given;
+    the mean is their mean.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -201,20 +204,24 @@ def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
     log_probs = _log_softmax(logits)
-    return float(-log_probs[np.arange(n), labels].mean()), activations, log_probs
+    rows = np.negative(log_probs[np.arange(n), labels], out=row_losses)
+    return float(rows.mean()), activations, log_probs
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
-                  labels: np.ndarray, out: ModelParams | None = None
+                  labels: np.ndarray, out: ModelParams | None = None,
+                  row_losses: np.ndarray | None = None
                   ) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy and its exact backprop gradient, laid out
     like ``params``.
 
     The gradient is written into ``out`` when given (a ``ModelParams`` with
     ``params``' shapes), else into a new one. Every element is overwritten,
-    so a caller may reuse one buffer across steps.
+    so a caller may reuse one buffer across steps. ``row_losses`` receives
+    each row's loss, as in :func:`cross_entropy`.
     """
-    mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels)
+    mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels,
+                                                      row_losses)
     labels = np.asarray(labels)
     n = labels.shape[0]
 

@@ -256,10 +256,13 @@ def test_cka_reports_from_checkpoints(tmp_path):
     assert len(depth) == 2
 
 
-def test_cka_round_selector(tmp_path):
+def test_cka_round_selector(tmp_path, capsys):
     out, path = cka_run(tmp_path, rounds=4, every=2)
     assert main(["cka", "--config", path, "--round", "2"]) == 0
-    assert main(["cka", "--config", path, "--round", "3"]) == 1  # not stored
+    capsys.readouterr()
+    assert main(["cka", "--config", path, "--round", "3"]) == 2  # not stored
+    err = capsys.readouterr().err
+    assert "config error" in err and "round 3" in err and "2, 4" in err
 
 
 def test_cka_without_checkpoints_fails_with_paths(tmp_path, capsys):
@@ -270,6 +273,8 @@ def test_cka_without_checkpoints_fails_with_paths(tmp_path, capsys):
     assert main(["cka", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "checkpoints" in err
+    assert main(["cka", "--config", path, "--round", "1"]) == 1
+    assert "save_checkpoints=true" in capsys.readouterr().err
 
 
 def test_cka_outputs_deterministic(tmp_path):

@@ -211,6 +211,77 @@ def test_local_train_deterministic():
 
 # ------------------------------------------------------- data_quality_loss
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 50), st.integers(1, 3),
+       st.sampled_from([0.0, 0.01, 1.0]), st.integers(1, 12),
+       st.integers(1, 16), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_h_from_first_step_equals_data_quality_loss(n, batch, epochs, mu, dim,
+                                                    hidden, k, seed):
+    # the first step's rows plus one pass over the rest of its epoch: the
+    # same losses as one pass over the shard, up to the BLAS's rounding of a
+    # row in a smaller batch
+    rng = np.random.default_rng(seed)
+    ds = data.LabeledDataset(rng.normal(size=(n + 5, dim)),
+                             rng.integers(0, k, size=n + 5), k)
+    idx = rng.permutation(n + 5)[:n]
+    a = data.ClientAssignment(2, idx, ds.labels[idx], rng.integers(0, k, n))
+    g = nn.init_params(nn.mlp_specs([dim, hidden, k]), seed)
+    cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
+                       prox_mu=mu)
+    update = client.local_train(g, a, ds, cfg, round_idx=1, seed=seed)
+    assert update.h == pytest.approx(client.data_quality_loss(g, a, ds),
+                                     rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n, batch", [(20, 20), (100, 60)])
+def test_h_from_first_step_bitwise_on_benchmark_shapes(n, batch):
+    # the crowd and desk clients of fedbench: 784-64-32-10, one shard each
+    ds = data.make_synthetic(10, 40, 784, 2.0, seed=3)
+    g = nn.init_params(nn.mlp_specs([784, 64, 32, 10]), 5)
+    cfg = ClientConfig(lr=0.05, local_epochs=2, batch_size=batch)
+    rng = np.random.default_rng(9)
+    for client_id in range(4):
+        idx = rng.permutation(len(ds))[:n]
+        a = data.ClientAssignment(client_id, idx, ds.labels[idx],
+                                  rng.integers(0, 10, n))
+        update = client.local_train(g, a, ds, cfg, round_idx=3, seed=1)
+        assert update.h == client.data_quality_loss(g, a, ds)
+
+
+@pytest.mark.parametrize("n, batch, rows", [(20, 20, [20]), (20, 60, [20]),
+                                            (100, 60, [60, 40, 40])])
+def test_h_on_global_runs_the_received_model_once_per_row(n, batch, rows,
+                                                          monkeypatch):
+    # forward passes of one epoch: the steps', then the rest of the first
+    # epoch's order under the received model, and no data_quality_loss pass
+    ds = blob_dataset(per_class=50)
+    a = data.ClientAssignment(0, np.arange(n), ds.labels[:n], ds.labels[:n])
+    calls = []
+    real = nn.forward
+
+    def counted(params, batch_x):
+        calls.append(len(batch_x))
+        return real(params, batch_x)
+
+    monkeypatch.setattr(nn, "forward", counted)
+    monkeypatch.setattr(client, "data_quality_loss", None)
+    client.local_train(fresh_params(ds), a, ds,
+                       ClientConfig(local_epochs=1, batch_size=batch), 1,
+                       seed=0)
+    assert calls == rows
+
+
+def test_h_on_local_is_data_quality_loss_of_the_trained_model():
+    ds = blob_dataset()
+    a = data.apply_symmetric_noise(whole_dataset_assignment(ds), 0.4, 3, seed=1)
+    g = fresh_params(ds)
+    update = client.local_train(
+        g, a, ds, ClientConfig(local_epochs=3, batch_size=16, h_on="local"),
+        2, seed=4)
+    assert update.h == client.data_quality_loss(update.params, a, ds)
+    assert update.h != client.data_quality_loss(g, a, ds)
+
+
 def test_h_uniform_logit_model():
     ds = blob_dataset(k=4, per_class=25)
     a = whole_dataset_assignment(ds)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,28 @@ def test_build_probe_is_the_first_test_rows_idx(tmp_path, test_size, size):
     got = build_probe(cfg, size)
     assert got.tobytes() == want.tobytes()
     assert got.flags.owndata
+
+
+def test_build_probe_reads_only_the_probe_rows_of_an_idx_file(tmp_path):
+    # a 10000x784 test file is 7.8 MB of pixels and 62.7 MB as float64; the
+    # 512-row probe is 3.2 MB
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(10000, 28, 28), dtype=np.uint8)
+    img, lbl = write_idx_pair(tmp_path, images,
+                              rng.integers(0, 10, 10000, dtype=np.uint8))
+    cfg = build_config({"dataset": {"kind": "mnist", "images": "absent",
+                                    "labels": "absent", "test_images": str(img),
+                                    "test_labels": str(lbl)},
+                        "test_size": 0})
+    tracemalloc.start()
+    try:
+        probe = build_probe(cfg, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    want = images[:512].reshape(512, 784).astype(np.float64) / 255.0
+    assert probe.tobytes() == want.tobytes()
 
 
 def test_workers_resolution(tmp_path):

@@ -56,6 +56,27 @@ def test_load_idx_count_mismatch(tmp_path):
         data.load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 3, 5, 9])
+def test_load_idx_count_keeps_the_first_rows(tmp_path, gz, count):
+    images = np.random.default_rng(2).integers(0, 256, size=(5, 3, 4),
+                                               dtype=np.uint8)
+    ip, lp = write_idx_pair(tmp_path, images, [0, 4, 1, 1, 2], gz=gz)
+    full = data.load_idx(ip, lp)
+    got = data.load_idx(ip, lp, count)
+    assert got.features.shape == full.features[:count].shape
+    assert got.features.tobytes() == full.features[:count].tobytes()
+    assert np.array_equal(got.labels, full.labels[:count])
+    # the label file is still read whole
+    assert got.num_classes == full.num_classes == 5
+
+
+def test_load_idx_count_still_checks_the_label_count(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, tiny_images(), [0, 1, 1])
+    with pytest.raises(DataFormatError, match="mismatch"):
+        data.load_idx(ip, lp, 1)
+
+
 def official_mnist_dir():
     env = os.environ.get("FEDNOISY_MNIST_DIR")
     base = env or os.path.join(os.path.dirname(__file__), "..", "data", "mnist")

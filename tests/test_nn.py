@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from fednoisy import nn
 from fednoisy.errors import ShapeError
@@ -221,6 +222,26 @@ def test_loss_and_grad_into_dirty_buffer_equals_fresh_call(models, n, seed):
     assert got is dirty
     assert got_loss == loss
     assert np.array_equal(got.flat, fresh.flat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(counts=st.just(1)), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_row_losses_are_the_rows_of_the_mean_loss(models, n, seed):
+    params = models[0]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, params.in_dim))
+    y = rng.integers(0, params.out_dim, size=n)
+    loss, grad = nn.loss_and_grad(params, x, y)
+    rows = np.full(n, np.nan)
+    got_loss, got = nn.loss_and_grad(params, x, y, row_losses=rows)
+    assert got_loss == loss == float(rows.mean())
+    assert np.array_equal(got.flat, grad.flat)
+    # log-sum-exp minus the label's logit, to the rounding of the logits
+    _, logits = nn.forward(params, x)
+    want = logsumexp(logits, axis=1) - logits[np.arange(n), y]
+    scale = max(1.0, np.abs(logits).max())
+    assert np.allclose(rows, want, rtol=0, atol=1e-12 * scale)
 
 
 def test_loss_and_grad_rejects_mismatched_buffer():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fednoisy import data, nn, server
 from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig, ClientUpdate
 from fednoisy.data import NoiseSpec, PartitionSpec
-from fednoisy.server import (DetectionHistory, ReliabilityScores, ServerConfig,
+from fednoisy.server import (ROW_SUM_TOL, DetectionHistory, ReliabilityScores,
+                             ServerConfig,
                              aggregate_fedavg, aggregate_layerwise,
                              aggregate_trimmed_mean, detect_noisy,
                              detection_precision_recall, layerwise_weights,
@@ -692,3 +693,40 @@ def test_detect_noisy_invariant_under_q_scaling(models, factor, beta, data_):
     assume(not np.any(np.abs(q - threshold) <= 1e-9 * abs(threshold)))
     assert detect_noisy(scores_from(factor * q), beta) == \
         detect_noisy(scores, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(), st.data())
+def test_layerwise_weight_rows_sum_to_one(models, data_):
+    updates, flagged, rnd, cfg = draw_weighting(models, data_)
+    g = data_.draw(st.sampled_from(models))
+    w = layerwise_weights(updates, g, flagged, rnd, cfg)
+    assert (w >= 0).all()
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(), st.floats(1.0, 1e6), st.floats(1.0, 1e6), st.data())
+def test_divisor_penalty_growth_never_raises_a_flagged_weight(models, tau_a,
+                                                              tau_b, data_):
+    updates, flagged, rnd, _ = draw_weighting(models, data_)
+    flagged = flagged or {0}
+    g = data_.draw(st.sampled_from(models))
+    low, high = sorted((tau_a, tau_b))
+    w_low = layerwise_weights(updates, g, flagged, rnd, ServerConfig(tau=low))
+    w_high = layerwise_weights(updates, g, flagged, rnd, ServerConfig(tau=high))
+    cols = sorted(flagged)
+    # every flagged score is divided by the same larger penalty; when all
+    # clients are flagged the shares stay put, up to the rounding of the sum
+    assert (w_high[:, cols] <= w_low[:, cols] * (1 + 1e-12)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_stacks(), st.data())
+def test_trimmed_mean_at_zero_pct_is_unweighted_fedavg(models, data_):
+    sizes = data_.draw(st.lists(st.integers(1, 50), min_size=len(models),
+                                max_size=len(models)))
+    updates = stack_updates(models, sizes)
+    assert_close_to_client_scale(aggregate_trimmed_mean(updates, 0.0),
+                                 aggregate_fedavg(updates, unweighted=True),
+                                 models)
