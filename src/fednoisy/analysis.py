@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,53 +84,72 @@ def probe_fingerprint(probe: np.ndarray) -> str:
     return f"n{probe.shape[0]}d{probe.shape[1]}-{digest[:12]}"
 
 
-def cka_layer_report(client_models: list[nn.ModelParams],
+def cka_layer_report(client_models: Iterable[nn.ModelParams],
                      global_model: nn.ModelParams, probe: np.ndarray,
                      noisy_ids) -> CkaReport:
     """Forward every model on a shared probe batch and compare layer features.
 
+    ``client_models`` is consumed once, and each model runs forward once, so
+    a generator that reads the models from disk keeps one alive at a time.
     Every entry is :func:`linear_cka` of the two models' features, computed
     by :func:`_layer_cka` with a different summation order.
     """
-    if len(client_models) < 1:
-        raise ValueError("need at least one client model")
     if len(probe) < 2:
         raise ValueError("CKA needs at least 2 samples")
-    models = list(client_models) + [global_model]
+    widths = [shape[0] for shape in global_model.shapes]
+    blocks: list = [[] for _ in widths]
+    num_clients = 0
+    for model in client_models:
+        _add_features(blocks, widths, num_clients, model, probe)
+        num_clients += 1
+    if num_clients < 1:
+        raise ValueError("need at least one client model")
     noisy = sorted(int(c) for c in noisy_ids)
-    clean = [c for c in range(len(client_models)) if c not in set(noisy)]
+    if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
+        raise ValueError(f"noisy client ids {noisy} must lie in "
+                         f"[0, {num_clients})")
+    clean = [c for c in range(num_clients) if c not in set(noisy)]
+    _add_features(blocks, widths, num_clients, global_model, probe)
 
     matrices, mean_noisy, mean_clean = [], [], []
-    g = len(models) - 1
-    for l in range(global_model.num_layers):
-        mat = _layer_cka(models, probe, l)
+    g = num_clients
+    for l, d in enumerate(widths):
+        # handed over, so that a layer's blocks are freed before the next's
+        layer, blocks[l] = blocks[l], None
+        mat = _layer_cka(layer, d, num_clients + 1)
         matrices.append(mat)
         mean_noisy.append(float(np.mean([mat[c, g] for c in noisy])) if noisy else math.nan)
         mean_clean.append(float(np.mean([mat[c, g] for c in clean])) if clean else math.nan)
-    return CkaReport(probe_fingerprint(probe), len(client_models), noisy,
+    return CkaReport(probe_fingerprint(probe), num_clients, noisy,
                      matrices, mean_noisy, mean_clean)
 
 
-def _layer_cka(models: list[nn.ModelParams], probe: np.ndarray,
-               layer: int) -> np.ndarray:
-    """Pairwise linear CKA of the models' features at one layer.
+def _add_features(blocks: list[list[np.ndarray]], widths: list[int], i: int,
+                  model: nn.ModelParams, probe: np.ndarray) -> None:
+    """Centre model i's features at every layer into its d columns of the
+    layer's block i // _CKA_BLOCK, from one forward pass.
 
-    Each model's features are centred once into its d columns of a block of
-    _CKA_BLOCK models; only one layer's features are held at a time. For
+    A block is allocated when its first model arrives. Several blocks, not
+    one (n, M*d) array: small blocks reuse memory the allocator already
+    holds, where one large array maps new pages.
+    """
+    b, col = divmod(i, _CKA_BLOCK)
+    for layer, d, a in zip(blocks, widths, nn.forward(model, probe)[0],
+                           strict=True):
+        if col == 0:
+            layer.append(np.empty((len(probe), _CKA_BLOCK * d)))
+        np.subtract(a, a.mean(axis=0), out=layer[b][:, col * d:(col + 1) * d])
+
+
+def _layer_cka(blocks: list[np.ndarray], d: int, m: int) -> np.ndarray:
+    """Pairwise linear CKA of m models' centred features at one layer.
+
+    ``blocks`` hold the d-column features of _CKA_BLOCK models each, in
+    model order; the last block is cut here to its models' columns. For
     model i, sq[i, j] = ||Xi' Xj||_F^2 for every j >= i comes from one GEMM
     per block, and the diagonal of sq gives the self-norms.
     """
-    n, m = len(probe), len(models)
-    d = models[-1].shapes[layer][0]
-    # several blocks, not one (n, M*d) array: small blocks reuse memory the
-    # allocator already holds, where one large array maps new pages
-    blocks = [np.empty((n, min(_CKA_BLOCK, m - b) * d))
-              for b in range(0, m, _CKA_BLOCK)]
-    for i, model in enumerate(models):
-        a = nn.forward(model, probe)[0][layer]
-        b, col = divmod(i, _CKA_BLOCK)
-        np.subtract(a, a.mean(axis=0), out=blocks[b][:, col * d:(col + 1) * d])
-
+    blocks[-1] = blocks[-1][:, :(m - (len(blocks) - 1) * _CKA_BLOCK) * d]
     sq = np.zeros((m, m))
     prod = np.empty(_CKA_BLOCK * d * d)
     for i in range(m):

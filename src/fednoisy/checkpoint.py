@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
 
 def read_manifest(path) -> dict:
     """The manifest of a round directory, checked for the keys load_round
-    reads."""
+    reads and for one noise rate per client."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(
@@ -93,25 +94,45 @@ def read_manifest(path) -> dict:
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
                               f"key(s) {', '.join(missing)}")
+    counts = {"noise_rates": len(manifest["noise_rates"]),
+              "clients": len(manifest["clients"])}
+    if "num_clients" in manifest:
+        counts["num_clients"] = manifest["num_clients"]
+    if len(set(counts.values())) > 1:
+        found = ", ".join(f"{key} {n}" for key, n in counts.items())
+        raise DataFormatError(f"checkpoint manifest {manifest_path} disagrees "
+                              f"on the client count: {found}")
     return manifest
+
+
+def read_model(path, name: str, manifest: dict) -> nn.ModelParams:
+    """The model in blob ``name`` of a round directory, shaped by its
+    manifest."""
+    blob_path = os.path.join(path, name)
+    if not os.path.isfile(blob_path):
+        raise FileNotFoundError(f"missing checkpoint blob: {blob_path}")
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return params_from_blob(blob, manifest["layer_shapes"],
+                                manifest["activations"])
+    except DataFormatError as err:
+        raise DataFormatError(f"{blob_path}: {err}") from None
+
+
+def client_models(path, manifest: dict) -> Iterator[nn.ModelParams]:
+    """The manifest's client models in order, each read only when the
+    previous one is consumed."""
+    for name in manifest["clients"]:
+        yield read_model(path, name, manifest)
 
 
 def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float], int]:
     """Returns (global, clients, noise_rates, round_idx) for a round directory."""
     manifest = read_manifest(path)
-    shapes = manifest["layer_shapes"]
-    acts = manifest["activations"]
-
-    def read(name):
-        blob_path = os.path.join(path, name)
-        if not os.path.isfile(blob_path):
-            raise FileNotFoundError(f"missing checkpoint blob: {blob_path}")
-        with open(blob_path, "rb") as fh:
-            return params_from_blob(fh.read(), shapes, acts)
-
-    global_params = read(manifest["global"])
-    clients = [read(name) for name in manifest["clients"]]
-    return global_params, clients, manifest["noise_rates"], manifest["round"]
+    return (read_model(path, manifest["global"], manifest),
+            list(client_models(path, manifest)), manifest["noise_rates"],
+            manifest["round"])
 
 
 def available_rounds(base_dir) -> list[int]:

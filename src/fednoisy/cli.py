@@ -202,7 +202,8 @@ def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
             f"no checkpoint for round {round_idx} under {ckpt_base}; saved "
             f"rounds: {', '.join(map(str, rounds))}")
     path = checkpoint.round_dir(ckpt_base, round_idx)
-    stored_id = checkpoint.read_manifest(path).get("probe_id")
+    manifest = checkpoint.read_manifest(path)
+    stored_id = manifest.get("probe_id")
     probe = build_probe(cfg, CKA_PROBE_SIZE)
     probe_id = analysis.probe_fingerprint(probe)
     if stored_id != probe_id:
@@ -213,10 +214,12 @@ def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
 
     out_dir = _ensure_out_dir(cfg)
     _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
-    global_params, client_models, noise_rates, _ = checkpoint.load_round(path)
-    noisy_ids = [c for c, r in enumerate(noise_rates) if r > 0]
-    report = analysis.cka_layer_report(client_models, global_params, probe,
-                                       noisy_ids)
+    global_params = checkpoint.read_model(path, manifest["global"], manifest)
+    noisy_ids = [c for c, r in enumerate(manifest["noise_rates"]) if r > 0]
+    # streamed: one client model is alive at a time
+    report = analysis.cka_layer_report(
+        checkpoint.client_models(path, manifest), global_params, probe,
+        noisy_ids)
 
     names = [f"client{c}" for c in range(report.num_clients)] + ["global"]
     for l, mat in enumerate(report.matrices):

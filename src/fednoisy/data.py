@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DataFormatError
 
@@ -166,11 +165,54 @@ def _synthetic_blobs(num_classes: int, per_class: int, dim: int, seed):
 
 def make_synthetic(num_classes: int, per_class: int, dim: int, spread: float,
                    seed: int) -> LabeledDataset:
-    """Gaussian blobs, one center per class; linearly separable for small spread."""
+    """Gaussian blobs, one center per class; linearly separable for small spread.
+
+    Row i is ``centers[labels[j]] + spread * noise[j]`` for j = order[i]. It
+    is built in place, so the pool is the only large array alive.
+    """
     rng, centers, labels = _synthetic_blobs(num_classes, per_class, dim, seed)
-    features = centers[labels] + spread * rng.normal(size=(labels.size, dim))
+    features = rng.normal(size=(labels.size, dim))
+    features *= spread
+    # the unshuffled labels run class by class, per_class rows each
+    for k, center in enumerate(centers):
+        features[k * per_class:(k + 1) * per_class] += center
     order = rng.permutation(labels.size)
-    return LabeledDataset(features[order], labels[order], num_classes)
+    _permute_rows(features, order)
+    return LabeledDataset(features, labels[order], num_classes)
+
+
+# rows moved per fancy-indexed copy in _permute_rows: the copy's buffer stays
+# small beside the pool, and the Python loop stays short
+_PERMUTE_CHUNK_ROWS = 256
+
+
+def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
+    """``rows[:] = rows[order]`` in place, one cycle of ``order`` at a time.
+
+    Along a cycle c = (c0, c1 = order[c0], ...), row c[t] takes row c[t + 1]:
+    rows move down the cycle in chunks, each chunk read before it is
+    written, and the saved first row closes the cycle.
+    """
+    nxt = order.tolist()
+    seen = bytearray(len(nxt))
+    for start in range(len(nxt)):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            cycle.append(i)
+            i = nxt[i]
+        if len(cycle) == 1:
+            continue
+        cycle = np.array(cycle)
+        first = rows[start].copy()
+        last = len(cycle) - 1
+        for t in range(0, last, _PERMUTE_CHUNK_ROWS):
+            end = min(t + _PERMUTE_CHUNK_ROWS, last)
+            rows[cycle[t:end]] = rows[cycle[t + 1:end + 1]]
+        rows[cycle[last]] = first
 
 
 # rows of noise drawn per saved generator state in synthetic_rows: saving a
@@ -321,6 +363,10 @@ def make_partitions(dataset: LabeledDataset,
 def sample_truncated_gaussian(mean: float, std: float, low: float, high: float,
                               seed, count: int) -> np.ndarray:
     """Inverse-CDF draws from a normal truncated to [low, high]."""
+    # imported here: scipy.special adds ~21 MB of RSS and ~0.3 s to the
+    # import, and only this sampler needs it
+    from scipy.special import ndtr, ndtri
+
     if not low < high:
         raise ValueError(f"need low < high, got [{low}, {high}]")
     if std <= 0:

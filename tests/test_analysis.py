@@ -139,6 +139,66 @@ def test_report_rejects_zero_variance_model():
                                   [1])
 
 
+def test_report_runs_each_model_forward_once(monkeypatch):
+    models = small_models(K + 2)
+    forward, calls = nn.forward, []
+
+    def counting_forward(params, batch):
+        calls.append(id(params))
+        return forward(params, batch)
+
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    report = analysis.cka_layer_report(models[:-1], models[-1],
+                                       rand(20, 6, 2), [0])
+    assert report.num_layers == 3
+    assert sorted(calls) == sorted(id(m) for m in models)
+
+
+class OneShot:
+    """An iterable that may be iterated only once, like a generator that
+    reads models from disk."""
+
+    def __init__(self, items):
+        self.items = items
+        self.used = False
+
+    def __iter__(self):
+        assert not self.used, "iterated twice"
+        self.used = True
+        yield from self.items
+
+
+def test_report_streams_client_models():
+    models = small_models(K + 3)
+    probe = rand(25, 6, 3)
+    want = analysis.cka_layer_report(models[:-1], models[-1], probe, [1, 4])
+    stream = OneShot(models[:-1])
+    got = analysis.cka_layer_report(stream, models[-1], probe, [1, 4])
+    assert stream.used
+    got_gen = analysis.cka_layer_report((m for m in models[:-1]), models[-1],
+                                        probe, [1, 4])
+    for report in (got, got_gen):
+        assert report.num_clients == K + 2
+        assert report.mean_noisy == want.mean_noisy
+        assert report.mean_clean == want.mean_clean
+        for a, b in zip(report.matrices, want.matrices, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_report_rejects_an_empty_client_stream():
+    model = small_models(1)[0]
+    with pytest.raises(ValueError, match="at least one client"):
+        analysis.cka_layer_report(iter([]), model, rand(20, 6, 1), [])
+
+
+@pytest.mark.parametrize("noisy", [[2], [-1], [0, 5]])
+def test_report_rejects_noisy_ids_outside_clients(noisy):
+    models = small_models(3)
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        analysis.cka_layer_report(models[:2], models[2], rand(20, 6, 1),
+                                  noisy)
+
+
 def test_report_rejects_single_row_probe():
     models = small_models(3)
     with pytest.raises(ValueError, match="at least 2 samples"):

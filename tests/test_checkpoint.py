@@ -1,5 +1,6 @@
 """Unit tests for checkpoint blobs and manifests."""
 
+import itertools
 import json
 import os
 
@@ -129,3 +130,55 @@ def test_manifest_missing_key_names_key_and_path(tmp_path, key):
         checkpoint.load_round(path)
     assert key in str(err.value)
     assert manifest_path in str(err.value)
+
+
+def edit_manifest(path, **changes):
+    manifest_path = os.path.join(path, checkpoint.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest.update(changes)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    return manifest_path
+
+
+@pytest.mark.parametrize("changes", [
+    {"noise_rates": [0.0, 1.0, 1.0]},   # 3 rates for 2 clients
+    {"noise_rates": [0.0]},
+    {"num_clients": 3},
+])
+def test_manifest_with_mismatched_client_counts_rejected(tmp_path, changes):
+    g = model(3)
+    path = checkpoint.save_round(tmp_path, 10, g, [model(4), model(5)],
+                                 [0.0, 1.0])
+    manifest_path = edit_manifest(path, **changes)
+    for read in (checkpoint.read_manifest, checkpoint.load_round):
+        with pytest.raises(DataFormatError, match="client count") as err:
+            read(path)
+        assert manifest_path in str(err.value)
+
+
+def test_client_models_streams_the_blobs_in_order(tmp_path):
+    clients = [model(s) for s in range(10, 14)]
+    path = checkpoint.save_round(tmp_path, 20, model(9), clients, [0.0] * 4)
+    manifest = checkpoint.read_manifest(path)
+    stream = checkpoint.client_models(path, manifest)
+    first = next(stream)
+    assert first.flat.tobytes() == clients[0].flat.tobytes()
+    # the blobs are read as the stream is consumed, not up front
+    os.remove(os.path.join(path, manifest["clients"][3]))
+    assert [m.flat.tobytes() for m in itertools.islice(stream, 2)] == [
+        c.flat.tobytes() for c in clients[1:3]]
+    with pytest.raises(FileNotFoundError, match="client_003.bin"):
+        next(stream)
+
+
+def test_truncated_blob_names_its_path(tmp_path):
+    path = checkpoint.save_round(tmp_path, 20, model(9), [model(1), model(2)],
+                                 [0.0, 0.0])
+    blob_path = os.path.join(path, "client_001.bin")
+    with open(blob_path, "r+b") as fh:
+        fh.truncate(os.path.getsize(blob_path) - 8)
+    with pytest.raises(DataFormatError, match="expected") as err:
+        checkpoint.load_round(path)
+    assert blob_path in str(err.value)

@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fednoisy
 from fednoisy import analysis, checkpoint, cli
 from fednoisy.cli import CKA_PROBE_SIZE, main
 from fednoisy.config import (build_config, build_datasets, build_probe,
@@ -391,3 +394,79 @@ def test_cka_peak_memory_below_one_pool(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < pool_bytes
+
+
+def test_cka_streams_models_below_all_models_plus_layer0(tmp_path):
+    # 39 clients and the global model fill 5 blocks of _CKA_BLOCK models
+    clients, hidden = 39, [64, 32]
+    out = tmp_path / "stream"
+    cfg = base_config(out, dataset={"classes": 10, "dims": 784, "spread": 2.0},
+                      subset_size=10 * clients, test_size=CKA_PROBE_SIZE,
+                      hidden_dims=hidden, save_checkpoints=True,
+                      checkpoint_every=1,
+                      client={"local_epochs": 1, "batch_size": 10},
+                      server={"rounds": 1, "num_clients": clients})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 0
+    models = clients + 1
+    global_model, _, _, _ = checkpoint.load_round(
+        checkpoint.round_dir(out / "checkpoints", 1))
+    all_models = models * global_model.flat.nbytes
+    layer0_blocks = CKA_PROBE_SIZE * models * hidden[0] * 8
+    tracemalloc.start()
+    try:
+        assert main(["cka", "--config", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding every model while layer 0's features are blocked costs more
+    assert peak < all_models + layer0_blocks
+
+
+def corrupt_and_run_cka(tmp_path, capsys, corrupt):
+    out, path = cka_run(tmp_path)
+    round_path = checkpoint.round_dir(out / "checkpoints", 4)
+    corrupt(round_path)
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 1
+    assert cka_outputs(out) == {}
+    return capsys.readouterr().err
+
+
+def test_cka_truncated_client_blob_mid_stream_exits_1(tmp_path, capsys):
+    def truncate(round_path):
+        blob = os.path.join(round_path, "client_002.bin")
+        with open(blob, "r+b") as fh:
+            fh.truncate(os.path.getsize(blob) // 2)
+
+    err = corrupt_and_run_cka(tmp_path, capsys, truncate)
+    assert "DataFormatError" in err and "client_002.bin" in err
+
+
+@pytest.mark.parametrize("rates", [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0]])
+def test_cka_rejects_a_manifest_with_other_noise_rates(tmp_path, capsys,
+                                                       rates):
+    def edit(round_path):
+        manifest_path = os.path.join(round_path, checkpoint.MANIFEST_NAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["noise_rates"] = rates
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+
+    err = corrupt_and_run_cka(tmp_path, capsys, edit)
+    assert "client count" in err and checkpoint.MANIFEST_NAME in err
+
+
+def test_bernoulli_run_does_not_import_scipy(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fednoisy.__file__)))
+    code = ("import sys\n"
+            "import fednoisy.cli\n"
+            "assert fednoisy.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

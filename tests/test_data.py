@@ -1,6 +1,7 @@
 """Unit tests for dataset synthesis, partitioning, and noise injection."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy import stats
 
 from fednoisy import data, nn
 from fednoisy.errors import DataFormatError
-from tests_util import (truncated_normal_cdf, truncated_normal_mean,
-                        write_idx_pair)
+from tests_util import (make_synthetic_reference, truncated_normal_cdf,
+                        truncated_normal_mean, write_idx_pair)
 
 
 # ---------------------------------------------------------------- load_idx
@@ -119,6 +120,36 @@ def test_synthetic_determinism():
     b = data.make_synthetic(3, 20, 4, 0.3, seed=9)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 80), st.integers(1, 9),
+       st.floats(-1e300, 1e300), st.integers(0, 2**64 - 1))
+def test_synthetic_equals_reference_bitwise(chunk, classes, per_class, dim,
+                                            spread, seed):
+    # chunks of 1-3 rows put cycles on both sides of the chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_PERMUTE_CHUNK_ROWS", chunk)
+        got = data.make_synthetic(classes, per_class, dim, spread, seed)
+    features, labels = make_synthetic_reference(classes, per_class, dim,
+                                                spread, seed)
+    assert got.features.tobytes() == features.tobytes()
+    assert np.array_equal(got.labels, labels)
+    assert got.num_classes == classes
+
+
+def test_synthetic_peak_memory_is_one_pool():
+    pool_bytes = 3000 * 784 * 8
+    tracemalloc.start()
+    try:
+        ds = data.make_synthetic(10, 300, 784, 2.0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.nbytes == pool_bytes
+    # the out-of-place formula peaks at two pools
+    assert peak < 1.2 * pool_bytes
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from fednoisy import nn
+from fednoisy import data, nn
 
 
 def flatten_params(params):
@@ -17,6 +17,16 @@ def flatten_params(params):
         parts.append(w.ravel())
         parts.append(b.ravel())
     return np.concatenate(parts)
+
+
+def make_synthetic_reference(num_classes, per_class, dim, spread, seed):
+    """``data.make_synthetic`` by its defining formula, out of place:
+    (features, labels)."""
+    rng, centers, labels = data._synthetic_blobs(num_classes, per_class, dim,
+                                                 seed)
+    features = centers[labels] + spread * rng.normal(size=(labels.size, dim))
+    order = rng.permutation(labels.size)
+    return features[order], labels[order]
 
 
 def write_idx_pair(tmp_path, images, labels, gz=False, image_magic=0x803,
