@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -101,9 +103,25 @@ def _write_run_outputs(cfg: ExperimentConfig, exp: Experiment, metrics,
             fh.write(f"round {m.round_idx}: {m.wall_clock:.3f}s\n")
 
 
+def _clear_previous_run(out_dir: str) -> None:
+    """Remove the checkpoint rounds and CKA tables an earlier run left in
+    ``out_dir``, so that ``cka`` never reports on another run's models."""
+    stale = glob.glob(os.path.join(out_dir, "cka_layer_*.csv"))
+    stale.append(os.path.join(out_dir, "cka_mean_depth.csv"))
+    for path in stale:
+        if os.path.isfile(path):
+            os.remove(path)
+    ckpt_base = os.path.join(out_dir, "checkpoints")
+    for round_idx in checkpoint.available_rounds(ckpt_base):
+        path = checkpoint.round_dir(ckpt_base, round_idx)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir = _ensure_out_dir(cfg)
     _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+    _clear_previous_run(out_dir)
     train, test = build_datasets(cfg)
 
     hook = None
@@ -212,8 +230,8 @@ def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
             f"{stored_id or '(none recorded)'}, but this config gives probe "
             f"{probe_id}; run cka with the config and --seed of the run")
 
-    out_dir = _ensure_out_dir(cfg)
-    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+    # the probe check pins cka's inputs; the run's config echo stays its own
+    out_dir = cfg.out_dir
     global_params = checkpoint.read_model(path, manifest["global"], manifest)
     noisy_ids = [c for c, r in enumerate(manifest["noise_rates"]) if r > 0]
     # streamed: one client model is alive at a time

@@ -5,6 +5,15 @@ parameter-distance primitives used by the aggregation and detection code.
 Everything is plain float64 numpy. No function here mutates its arguments,
 except the ``out`` buffer a caller passes, so any number of workers may share
 one model; ``client.local_train`` updates only its own private copy in place.
+
+The training kernels (:func:`forward`, :func:`cross_entropy`,
+:func:`loss_and_grad`) also take a cohort: models stacked on a leading axis
+(a ``ModelParams`` over a ``(k, P)`` buffer) and batches of shape
+``(k, B, dim)``, one slice per model. A stacked ``np.matmul`` makes one BLAS
+call per slice with that slice's own shapes, and every reduction runs over
+the same axis and length, so each slice gets the bits of its own 2-D call.
+Unstacked params run every slice of a stacked batch (the received model of
+a cohort's first step).
 """
 
 from __future__ import annotations
@@ -58,8 +67,12 @@ class ModelParams:
     little-endian. ``weights[l]`` (shape (out_dim, in_dim)) and ``biases[l]``
     (shape (out_dim,)) are views into it, so writes through either show in
     ``flat``; replace their contents, never the list entries.
-    ``layer_slices[l]`` selects layer l's W and b in ``flat``. The unit
-    exchanged between clients and server.
+    ``layer_slices[l]`` selects layer l's W and b in ``flat``'s last axis.
+    The unit exchanged between clients and server.
+
+    A cohort of k models wraps a ``(k, P)`` buffer, one model a row; then
+    ``weights[l]`` has shape (k, out_dim, in_dim) and ``biases[l]`` (k,
+    out_dim).
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
@@ -78,8 +91,8 @@ class ModelParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, shapes, activations) -> "ModelParams":
-        """Wrap a float64 vector laid out as ``flat`` for ``shapes``, without
-        copying it."""
+        """Wrap a float64 vector laid out as ``flat`` for ``shapes``, or a
+        (k, P) block of k such rows, without copying it."""
         params = cls.__new__(cls)
         params._bind(flat, shapes, activations)
         return params
@@ -87,18 +100,20 @@ class ModelParams:
     def _bind(self, flat, shapes, activations) -> None:
         self.shapes = [(int(o), int(i)) for o, i in shapes]
         size = sum(o * i + o for o, i in self.shapes)
-        if flat.dtype != np.float64 or flat.shape != (size,):
+        if flat.dtype != np.float64 or flat.ndim not in (1, 2) \
+                or flat.shape[-1] != size:
             raise ShapeError(f"flat buffer {flat.dtype}{flat.shape} does not "
                              f"hold layers {self.shapes}")
         self.flat = flat
         self.activations = list(activations)
         self.weights, self.biases, self.layer_slices = [], [], []
+        lead = flat.shape[:-1]
         start = 0
         for o, i in self.shapes:
             mid = start + o * i
             end = mid + o
-            self.weights.append(flat[start:mid].reshape(o, i))
-            self.biases.append(flat[mid:end])
+            self.weights.append(flat[..., start:mid].reshape(*lead, o, i))
+            self.biases.append(flat[..., mid:end])
             self.layer_slices.append(slice(start, end))
             start = end
 
@@ -153,19 +168,19 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def forward(params: ModelParams, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run the network on a batch of rows.
+    """Run the network on a batch of rows, or a cohort on a (k, B, dim) stack.
 
     Returns (activations, logits) where activations[l] is the post-activation
     output of layer l; the final entry equals the logits (identity layer).
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.in_dim:
+    if batch.ndim not in (2, 3) or batch.shape[-1] != params.in_dim:
         raise ShapeError(
             f"batch width {batch.shape} incompatible with input dim {params.in_dim}")
     activations = []
     a = batch
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        a = _apply_activation(a @ w.T + b, act)
+        a = _apply_activation(a @ w.swapaxes(-1, -2) + b[..., None, :], act)
         activations.append(a)
     logits = activations[-1]
     if not np.isfinite(logits).all():
@@ -175,8 +190,15 @@ def forward(params: ModelParams, batch: np.ndarray) -> tuple[list[np.ndarray], n
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     # Max-subtraction keeps exp() in range for extreme logits.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _label_positions(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Each row's label position in a C-contiguous (..., B, classes) array's
+    flat view: one fancy index for any number of leading axes."""
+    return np.arange(0, labels.size * classes, classes).reshape(labels.shape) \
+        + labels
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,19 +215,21 @@ def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
     Also returns the per-layer activations and the log-probabilities, which
     :func:`loss_and_grad` backpropagates through. Each row's loss is written
     into ``row_losses`` (a float64 vector of the batch's length) when given;
-    the mean is their mean.
+    the mean is their mean. On a cohort (``labels`` of shape (k, B)) the
+    means are a (k,) array and ``row_losses`` is (k, B).
     """
     labels = np.asarray(labels)
-    n = labels.shape[0]
-    if n == 0:
+    if labels.shape[-1] == 0:
         raise ValueError("batch is empty")
     activations, logits = forward(params, batch_x)
-    k = logits.shape[1]
+    k = logits.shape[-1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
     log_probs = _log_softmax(logits)
-    rows = np.negative(log_probs[np.arange(n), labels], out=row_losses)
-    return float(rows.mean()), activations, log_probs
+    picked = log_probs.reshape(-1)[_label_positions(labels, k)]
+    rows = np.negative(picked, out=row_losses)
+    means = rows.mean(axis=-1)
+    return (float(means) if rows.ndim == 1 else means), activations, log_probs
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
@@ -218,28 +242,30 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
     The gradient is written into ``out`` when given (a ``ModelParams`` with
     ``params``' shapes), else into a new one. Every element is overwritten,
     so a caller may reuse one buffer across steps. ``row_losses`` receives
-    each row's loss, as in :func:`cross_entropy`.
+    each row's loss, as in :func:`cross_entropy`. On a cohort batch the
+    gradient holds one row per slice, also under unstacked ``params``.
     """
     mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels,
                                                       row_losses)
     labels = np.asarray(labels)
-    n = labels.shape[0]
+    n = labels.shape[-1]
 
     probs = np.exp(log_probs)
     delta = probs
-    delta[np.arange(n), labels] -= 1.0
+    delta.reshape(-1)[_label_positions(labels, delta.shape[-1])] -= 1.0
     delta /= n
 
     batch_x = np.asarray(batch_x, dtype=np.float64)
     if out is None:
-        out = ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
-                                    params.activations)
+        size = params.flat.shape[-1:]
+        out = ModelParams.from_flat(np.empty(batch_x.shape[:-2] + size),
+                                    params.shapes, params.activations)
     else:
         _check_congruent(params, out)
     for l in range(params.num_layers - 1, -1, -1):
         below = batch_x if l == 0 else activations[l - 1]
-        np.matmul(delta.T, below, out=out.weights[l])
-        delta.sum(axis=0, out=out.biases[l])
+        np.matmul(delta.swapaxes(-1, -2), below, out=out.weights[l])
+        delta.sum(axis=-2, out=out.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]
             if params.activations[l - 1] == RELU:

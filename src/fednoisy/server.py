@@ -13,6 +13,7 @@ switched to the multiplicative form for comparison.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,8 +23,8 @@ import numpy as np
 from . import nn
 from .analysis import RoundMetrics, evaluate_accuracy, weight_divergence
 # correction_mask is re-exported next to apply_label_correction, which calls it
-from .client import (ClientConfig, ClientUpdate, apply_label_correction,  # noqa: F401
-                     correction_mask, local_train)
+from .client import (ClientConfig, ClientUpdate, Cohort,  # noqa: F401
+                     apply_label_correction, correction_mask, local_train)
 from .data import (ClientAssignment, LabeledDataset, NoiseSpec, PartitionSpec,
                    apply_symmetric_noise, make_partitions,
                    sample_client_noise_rates)
@@ -39,6 +40,12 @@ PENALTY_DIVISOR = "divisor"
 PENALTY_LITERAL = "literal"
 
 ROW_SUM_TOL = 1e-9
+
+# most clients one local_train call trains in lockstep. Measured per round
+# against one client per call, 4 takes ~17% off both the desk protocol and
+# crowd; 6 and 8 ran within noise of 4 on the desk protocol and 8 ~3% faster
+# on crowd, for twice the gradient and batch blocks
+_COHORT = 4
 
 
 @dataclass
@@ -305,15 +312,33 @@ class Experiment:
 
     # -- round pieces ------------------------------------------------------
 
+    def _cohorts(self) -> list[Cohort]:
+        """The clients grouped by shard size in client order, each group cut
+        into cohorts of at most ``_COHORT``, or fewer so that every worker
+        gets one."""
+        groups: dict[int, list[ClientAssignment]] = {}
+        for a in self.assignments:
+            groups.setdefault(len(a), []).append(a)
+        cohorts = []
+        for group in groups.values():
+            step = min(_COHORT, math.ceil(len(group) / self.workers))
+            cohorts += [Cohort(tuple(group[i:i + step]))
+                        for i in range(0, len(group), step)]
+        return cohorts
+
     def _train_clients(self, round_idx: int) -> list[ClientUpdate]:
-        def work(assignment: ClientAssignment) -> ClientUpdate:
-            return local_train(self.global_params, assignment, self.dataset,
+        def work(cohort: Cohort) -> list[ClientUpdate]:
+            return local_train(self.global_params, cohort, self.dataset,
                                self.client_config, round_idx, self.seed)
 
+        cohorts = self._cohorts()
         if self.workers == 1:
-            return [work(a) for a in self.assignments]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(work, self.assignments))
+            trained = [work(c) for c in cohorts]
+        else:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                trained = list(pool.map(work, cohorts))
+        by_id = {u.client_id: u for updates in trained for u in updates}
+        return [by_id[a.client_id] for a in self.assignments]
 
     def _aggregate(self, updates: list[ClientUpdate], scores: ReliabilityScores,
                    flagged: set[int], round_idx: int

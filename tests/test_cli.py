@@ -348,6 +348,31 @@ def test_cka_rebuilds_only_the_probe(tmp_path, monkeypatch, kind):
     assert cka_outputs(out) == want
 
 
+def test_cka_leaves_the_run_config_echo_alone(tmp_path):
+    out, path = cka_run(tmp_path, workers=1)
+    echo = (out / "config_echo.json").read_bytes()
+    assert json.loads(echo)["workers"] == 1
+    assert main(["cka", "--config", path, "--workers", "2"]) == 0
+    assert (out / "config_echo.json").read_bytes() == echo
+
+
+def test_rerun_into_the_same_directory_holds_one_run(tmp_path, capsys):
+    out, path = cka_run(tmp_path, rounds=4, every=2)
+    assert main(["cka", "--config", path]) == 0
+    assert checkpoint.available_rounds(out / "checkpoints") == [2, 4]
+    (out / "notes.txt").write_text("kept")
+    cfg = json.loads(open(path).read())
+    cfg["server"]["rounds"] = 2
+    path = write_config(tmp_path, cfg, "rerun.json")
+    assert main(["run", "--config", path]) == 0
+    assert checkpoint.available_rounds(out / "checkpoints") == [2]
+    assert cka_outputs(out) == {}
+    assert (out / "notes.txt").read_text() == "kept"
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 0
+    assert "CKA report for round 2 " in capsys.readouterr().out
+
+
 def test_cka_refuses_a_different_probe(tmp_path, capsys):
     out, path = cka_run(tmp_path)
     manifest = checkpoint.read_manifest(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fednoisy import client, data, nn
 from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig
 from fednoisy.errors import NumericError
+from fednoisy.server import _COHORT
 from tests_util import model_stacks
 
 
@@ -124,6 +125,96 @@ def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
         return
     update = client.local_train(g, a, ds, cfg, round_idx=4, seed=seed)
     assert np.array_equal(update.params.flat, params.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, _COHORT + 1), st.integers(1, 20), st.integers(1, 8),
+       st.integers(1, 3), st.sampled_from([0.0, 0.01]),
+       st.sampled_from([client.H_ON_GLOBAL, client.H_ON_LOCAL]),
+       st.lists(st.integers(1, 6), max_size=2), st.integers(1, 7),
+       st.sampled_from([2, 9, 12]), st.integers(0, 2**32 - 1))
+def test_cohort_equals_one_client_calls_bitwise(k, n, batch, epochs, mu, h_on,
+                                                hidden, dim, classes, seed):
+    # 9 and 12 classes put the log-softmax row sums in numpy's pairwise regime
+    rng = np.random.default_rng(seed)
+    rows = 3 * n + 5
+    ds = data.LabeledDataset(rng.normal(size=(rows, dim)),
+                             rng.integers(0, classes, size=rows), classes)
+    members = []
+    for cid in rng.choice(50, size=k, replace=False):
+        idx = rng.choice(rows, size=n, replace=False)
+        members.append(data.ClientAssignment(
+            int(cid), idx, ds.labels[idx], rng.integers(0, classes, n)))
+    g = nn.init_params(nn.mlp_specs([dim, *hidden, classes]), seed)
+    cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
+                       prox_mu=mu, h_on=h_on)
+
+    singles = [client.local_train(g, a, ds, cfg, round_idx=3, seed=seed)
+               for a in members]
+    cohort = client.Cohort(tuple(members))
+    assert cohort.client_id == tuple(a.client_id for a in members)
+    updates = client.local_train(g, cohort, ds, cfg, round_idx=3, seed=seed)
+    assert len(updates) == k
+    for got, want in zip(updates, singles):
+        assert (got.client_id, got.n_samples, got.round_idx) == \
+            (want.client_id, n, 3)
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.h == want.h
+
+
+@pytest.mark.parametrize("n, batch, epochs", [(20, 20, 1), (100, 60, 2),
+                                              (99, 32, 2)])
+def test_cohort_equals_one_client_calls_on_benchmark_shapes(n, batch, epochs):
+    # 784-64-32-10, where OpenBLAS picks its kernel by row count: one GEMM
+    # over the cohort's concatenated rows would move the bits
+    ds = data.make_synthetic(10, 40, 784, 2.0, seed=3)
+    g = nn.init_params(nn.mlp_specs([784, 64, 32, 10]), 5)
+    cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch)
+    rng = np.random.default_rng(9)
+    members = []
+    for client_id in range(_COHORT):
+        idx = rng.permutation(len(ds))[:n]
+        members.append(data.ClientAssignment(client_id, idx, ds.labels[idx],
+                                             rng.integers(0, 10, n)))
+    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
+                                 round_idx=3, seed=1)
+    for a, got in zip(members, updates):
+        want = client.local_train(g, a, ds, cfg, round_idx=3, seed=1)
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.h == want.h
+
+
+def test_cohort_rejects_unequal_shards():
+    ds = blob_dataset()
+    a = whole_dataset_assignment(ds)
+    b = data.ClientAssignment(1, a.indices[:5], a.true_labels[:5],
+                              a.noisy_labels[:5])
+    with pytest.raises(ValueError, match="cohort shards differ"):
+        client.local_train(fresh_params(ds), client.Cohort((a, b)), ds,
+                           ClientConfig(), 1, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cohort_names_its_first_diverged_client():
+    # a zero one-layer model has zero logits on any rows, so huge rows pass
+    # the forward pass and overflow only the update
+    rng = np.random.default_rng(0)
+    n, dim = 6, 3
+    features = rng.normal(size=(4 * n, dim))
+    features[2 * n:] *= 1e300          # the rows of clients 2 and 3
+    ds = data.LabeledDataset(features, rng.integers(0, 3, 4 * n), 3)
+    members = tuple(data.ClientAssignment(
+        c, np.arange(c * n, (c + 1) * n), ds.labels[c * n:(c + 1) * n],
+        ds.labels[c * n:(c + 1) * n]) for c in range(4))
+    g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)], [nn.IDENTITY])
+    cfg = ClientConfig(lr=1e10, local_epochs=1, batch_size=n)
+    with pytest.raises(NumericError,
+                       match="^client 2 diverged to non-finite parameters$"):
+        client.local_train(g, client.Cohort(members), ds, cfg, 1, seed=0)
+    with pytest.raises(NumericError, match="^client 3 diverged"):
+        client.local_train(g, members[3], ds, cfg, 1, seed=0)
+    ok = client.local_train(g, client.Cohort(members[:2]), ds, cfg, 1, seed=0)
+    assert all(u.params.all_finite() for u in ok)
 
 
 def traced_peak(fn):
@@ -260,7 +351,7 @@ def test_h_on_global_runs_the_received_model_once_per_row(n, batch, rows,
     real = nn.forward
 
     def counted(params, batch_x):
-        calls.append(len(batch_x))
+        calls.append(batch_x.shape[-2])   # rows of each cohort member
         return real(params, batch_x)
 
     monkeypatch.setattr(nn, "forward", counted)

@@ -1,19 +1,26 @@
-"""The benchmark's tracer must still find every function it wraps."""
+"""The benchmark's tracer must still find every function it wraps, and a
+traced run must reach the traced names."""
 
 import importlib.util
+import json
 import os
 
-from fednoisy import nn
+from fednoisy import cli, nn
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "fedbench",
                       "tracer.py")
 
 
-def test_tracer_installs_and_uninstalls_cleanly():
-    # a renamed or removed traced function makes install() raise here
+def load_tracer():
     spec = importlib.util.spec_from_file_location("fedbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_installs_and_uninstalls_cleanly():
+    # a renamed or removed traced function makes install() raise here
+    tracer = load_tracer()
     forward = nn.forward
     t = tracer.install()
     try:
@@ -22,3 +29,36 @@ def test_tracer_installs_and_uninstalls_cleanly():
         t.uninstall()
     assert nn.forward is forward
     assert t.leftovers() == []
+
+
+def tiny_run(tmp_path, name, tracer=None):
+    # 100 rows over 6 clients: shards of 17 and 16, so two cohort groups
+    out = tmp_path / name
+    cfg = {"subset_size": 100, "test_size": 50, "hidden_dims": [8],
+           "client": {"local_epochs": 2, "batch_size": 8},
+           "server": {"rounds": 3, "num_clients": 6, "t_corr": 2},
+           "workers": 2, "out_dir": str(out)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    t = tracer.install() if tracer is not None else None
+    try:
+        assert cli.main(["run", "--config", str(path)]) == 0
+    finally:
+        if t is not None:
+            t.uninstall()
+    return (out / "metrics.csv").read_bytes(), t
+
+
+def test_traced_run_records_the_training_spans_and_keeps_the_metrics(
+        tmp_path):
+    tracer = load_tracer()
+    want, _ = tiny_run(tmp_path, "plain")
+    got, t = tiny_run(tmp_path, "traced", tracer)
+    assert got == want
+    assert t.leftovers() == []
+    names = {s[tracer.NAME] for s in t.spans}
+    for name in ("client.local_train", "nn.loss_and_grad", "nn.forward"):
+        assert name in names, f"no {name} span recorded"
+    trained = [s[tracer.CLIENT] for s in t.spans
+               if s[tracer.NAME] == "client.local_train"]
+    assert sorted(c for ids in trained for c in ids) == sorted(3 * list(range(6)))

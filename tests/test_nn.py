@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fednoisy import nn
-from fednoisy.errors import ShapeError
+from fednoisy.errors import NumericError, ShapeError
 from tests_util import model_stacks
 
 
@@ -249,6 +249,60 @@ def test_loss_and_grad_rejects_mismatched_buffer():
     with pytest.raises(ShapeError):
         nn.loss_and_grad(p, np.ones((2, 2)), np.array([0, 1]),
                          out=small_net(sizes=(2, 4, 2)))
+
+
+def stacked(models):
+    """The models as one cohort over a (k, P) block."""
+    first = models[0]
+    return nn.ModelParams.from_flat(np.stack([m.flat for m in models]),
+                                    first.shapes, first.activations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_stacks(counts=st.integers(1, 5),
+                    out_widths=st.sampled_from([1, 3, 9, 12])),
+       st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_loss_and_grad_equals_per_slice_calls(models, n, shared, seed):
+    # a cohort (or, ``shared``, one model over a stacked batch) gets the bits
+    # of each slice's own 2-D call: losses, row losses and gradient
+    rng = np.random.default_rng(seed)
+    k, first = len(models), models[0]
+    x = rng.normal(size=(k, n, first.in_dim))
+    y = rng.integers(0, first.out_dim, size=(k, n))
+    cohort = first if shared else stacked(models)
+    rows = np.full((k, n), np.nan)
+    try:
+        means, grad = nn.loss_and_grad(cohort, x, y, row_losses=rows)
+    except NumericError:
+        # then some slice overflows on its own too
+        with pytest.raises(NumericError):
+            for j in range(k):
+                nn.forward(first if shared else models[j], x[j])
+        return
+    ce_means, _, log_probs = nn.cross_entropy(cohort, x, y)
+    assert grad.flat.shape == (k, first.flat.size)
+    assert np.array_equal(ce_means, means)
+    for j in range(k):
+        model = first if shared else models[j]
+        row = np.empty(n)
+        want_mean, want = nn.loss_and_grad(model, x[j], y[j], row_losses=row)
+        assert means[j] == want_mean
+        assert rows[j].tobytes() == row.tobytes()
+        assert grad.flat[j].tobytes() == want.flat.tobytes()
+        assert log_probs[j].tobytes() == \
+            nn.cross_entropy(model, x[j], y[j])[2].tobytes()
+
+
+def test_stacked_params_view_their_block():
+    models = [small_net(seed=s, sizes=(3, 4, 2)) for s in range(3)]
+    cohort = stacked(models)
+    assert cohort.weights[1].shape == (3, 2, 4)
+    assert cohort.biases[0].shape == (3, 4)
+    cohort.weights[1][2] += 1.0
+    row = nn.ModelParams.from_flat(cohort.flat[2], cohort.shapes,
+                                   cohort.activations)
+    assert np.array_equal(row.weights[1], models[2].weights[1] + 1.0)
+    assert np.array_equal(row.biases[1], models[2].biases[1])
 
 
 # ------------------------------------------------------------------- sgd

@@ -423,6 +423,74 @@ def test_worker_count_does_not_change_results():
     assert m1 == m2
 
 
+def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
+    exp = tiny_experiment(server.FEDAVG, clients=6, rounds=1)
+    assert {len(a) for a in exp.assignments} == {20}  # 2 steps of 16 an epoch
+    calls = []
+    real = nn.loss_and_grad
+
+    def counted(params, batch_x, *args, **kwargs):
+        calls.append(np.shape(batch_x)[0])
+        return real(params, batch_x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", counted)
+    exp.run_round(1)
+    sizes = [min(server._COHORT, 6 - i) for i in range(0, 6, server._COHORT)]
+    assert calls == [k for k in sizes for _ in range(4)]
+
+
+@pytest.mark.parametrize("workers, cohorts", [
+    (1, [(0, 2, 3, 6), (7,), (1, 4, 8), (5,)]),
+    (2, [(0, 2, 3), (6, 7), (1, 4), (8,), (5,)]),
+])
+def test_unequal_shards_train_in_client_order_as_single_clients(workers,
+                                                                cohorts):
+    from fednoisy.client import local_train
+    assert server._COHORT == 4   # the cohorts listed above
+    exp = tiny_experiment(server.FED_NCL, clients=9, workers=workers)
+    rng = np.random.default_rng(4)
+    exp.assignments = []
+    for cid, n in enumerate([10, 7, 10, 10, 7, 12, 10, 10, 7]):
+        idx = rng.choice(len(exp.dataset), size=n, replace=False)
+        exp.assignments.append(data.ClientAssignment(
+            cid, idx, exp.dataset.labels[idx], rng.integers(0, 3, n)))
+    assert [c.client_id for c in exp._cohorts()] == cohorts
+    updates = exp._train_clients(2)
+    assert [u.client_id for u in updates] == list(range(9))
+    for a, u in zip(exp.assignments, updates):
+        want = local_train(exp.global_params, a, exp.dataset,
+                           exp.client_config, 2, exp.seed)
+        assert u.n_samples == len(a)
+        assert u.params.flat.tobytes() == want.params.flat.tobytes()
+        assert u.h == want.h
+
+
+@pytest.mark.parametrize("partition, train_on", [
+    (PartitionSpec(kind=data.QUANTITY_SKEW, sigma_log=0.3), None),
+    (PartitionSpec(kind=data.IID), TRAIN_RELABELED_ONLY),
+])
+def test_unequal_shards_same_run_at_one_and_two_workers(partition, train_on):
+    runs = []
+    for workers in (1, 2):
+        exp = server.Experiment(
+            data.make_synthetic(3, 60, 6, 0.6, seed=200),
+            data.make_synthetic(3, 20, 6, 0.6, seed=201),
+            partition=partition,
+            noise=NoiseSpec(mode=data.FIXED, rates=[0.0, 0.0, 0.0, 1.0, 1.0]),
+            client_config=ClientConfig(lr=0.05, local_epochs=2, batch_size=16,
+                                       train_on=train_on or "corrected_all"),
+            server_config=ServerConfig(aggregator=server.FED_NCL, rounds=4,
+                                       num_clients=5, t_corr=2, alpha=0.1,
+                                       eta=0.4),
+            hidden_dims=(8,), seed=6, workers=workers)
+        runs.append((exp.run(), exp.global_params.flat.tobytes(),
+                     [len(a) for a in exp.assignments]))
+    assert runs[0] == runs[1]
+    metrics, _, sizes = runs[0]
+    assert len(set(sizes)) > 1   # unequal shards in the last rounds
+    assert all(m.client_ids == list(range(5)) for m in metrics)
+
+
 def test_history_partition_every_round():
     exp = tiny_experiment(server.FED_NCL, rounds=3,
                           noise=NoiseSpec(mode=data.FIXED,

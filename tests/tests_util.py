@@ -50,13 +50,14 @@ def write_idx_pair(tmp_path, images, labels, gz=False, image_magic=0x803,
 
 
 @st.composite
-def model_stacks(draw, counts=st.integers(2, 9)):
-    """Random congruent models: 1-3 layers, widths 1-6, as many as ``counts``
-    draws (2-9 by default).
+def model_stacks(draw, counts=st.integers(2, 9), out_widths=st.integers(1, 6)):
+    """Random congruent models: 1-3 layers, widths 1-6 (the output width
+    drawn from ``out_widths``), as many as ``counts`` draws (2-9 by default).
 
     Values are standard normals times one scale per stack (1e-3, 1 or 1e3).
     """
-    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    widths.append(draw(out_widths))
     n_clients = draw(counts)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
