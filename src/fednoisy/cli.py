@@ -188,7 +188,8 @@ def cmd_noise_preview(cfg: ExperimentConfig) -> int:
     out_dir = _ensure_out_dir(cfg)
     _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     train, _ = build_datasets(cfg)
-    assignments = data.make_partitions(train, cfg.partition)
+    assignments = data.make_partitions(train, cfg.partition,
+                                       cfg.server.num_clients, cfg.seed)
     rates = data.sample_client_noise_rates(cfg.noise, cfg.server.num_clients,
                                            (cfg.seed, 1))
     rows = []
@@ -267,7 +268,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--workers", type=int,
-                       help="training worker threads (0 = all cores)")
+                       help="training worker threads "
+                            "(0 = all available cores)")
 
     common(sub.add_parser("run", help="run one experiment"))
     p_cmp = sub.add_parser("compare", help="run several aggregators")

@@ -60,7 +60,13 @@ class ExperimentConfig:
     workers: int = 0   # 0 = one worker per available core
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        if self.workers > 0:
+            return self.workers
+        # the CPUs this process may run on, which an affinity mask or a
+        # cpuset can make fewer than the machine's
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -118,20 +124,12 @@ _PARSERS = {
     "list[float] | None": _optional(_list(_float)),
 }
 
-# filled from server.num_clients and the master seed, never read or echoed
-_DERIVED = {PartitionSpec: ("num_clients", "seed")}
-
-
-def _fields(cls) -> list:
-    return [f for f in fields(cls) if f.name not in _DERIVED.get(cls, ())]
-
-
 def _build(cls, section, prefix: str = ""):
     """Parse one section into ``cls``; omitted keys keep the field default."""
     if not isinstance(section, dict):
         raise ConfigError(f"{prefix[:-1] or 'config document'}: "
                           "expected an object")
-    known = {f.name: f for f in _fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     values = {}
     for name, value in section.items():
         f = known.get(name)
@@ -227,9 +225,6 @@ def build_config(document: dict) -> ExperimentConfig:
     # FedProx is defined by its proximal term; fill the standard mu if unset
     if cfg.server.aggregator == server.FEDPROX and cfg.client.prox_mu == 0:
         cfg.client.prox_mu = DEFAULT_FEDPROX_MU
-
-    cfg.partition.num_clients = cfg.server.num_clients
-    cfg.partition.seed = cfg.seed
     return cfg
 
 
@@ -249,7 +244,7 @@ def config_to_dict(cfg) -> dict:
     """Exhaustive echo of every accepted key of a config (or of one of its
     sections); round-trips via build_config."""
     echo = {}
-    for f in _fields(type(cfg)):
+    for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
             value = config_to_dict(value)

@@ -92,11 +92,10 @@ class NoiseSpec:
 
 @dataclass
 class PartitionSpec:
-    """How the parent dataset is divided among clients."""
+    """How the parent dataset is divided among clients. The client count and
+    seed are the run's; ``make_partitions`` takes them as arguments."""
 
     kind: str = IID
-    num_clients: int = 20
-    seed: int = 0
     p_class: float = 0.7      # class-presence probability (class skew)
     alpha_dir: float = 0.5    # Dirichlet concentration (class skew)
     sigma_log: float = 0.3    # lognormal std of client sizes (quantity skew)
@@ -344,17 +343,17 @@ def partition_quantity_skew(dataset: LabeledDataset, num_clients: int,
     return _assignments_from_index_lists(dataset, np.split(perm, bounds))
 
 
-def make_partitions(dataset: LabeledDataset,
-                    spec: PartitionSpec) -> list[ClientAssignment]:
-    """Dispatch on the partition kind."""
+def make_partitions(dataset: LabeledDataset, spec: PartitionSpec,
+                    num_clients: int, seed: int) -> list[ClientAssignment]:
+    """Split ``dataset`` into ``num_clients`` shards as ``spec.kind`` says."""
     if spec.kind == IID:
-        return partition_iid(dataset, spec.num_clients, spec.seed)
+        return partition_iid(dataset, num_clients, seed)
     if spec.kind == CLASS_SKEW:
-        return partition_class_skew(dataset, spec.num_clients, spec.p_class,
-                                    spec.alpha_dir, spec.seed)
+        return partition_class_skew(dataset, num_clients, spec.p_class,
+                                    spec.alpha_dir, seed)
     if spec.kind == QUANTITY_SKEW:
-        return partition_quantity_skew(dataset, spec.num_clients,
-                                       spec.sigma_log, spec.seed)
+        return partition_quantity_skew(dataset, num_clients, spec.sigma_log,
+                                       seed)
     raise ValueError(f"unknown partition kind {spec.kind!r}")
 
 

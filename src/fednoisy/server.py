@@ -83,17 +83,14 @@ class ReliabilityScores:
 
 @dataclass
 class DetectionHistory:
-    """Per-round flag sets and cumulative per-client flag counts."""
+    """Per-round flagged and clean client sets."""
 
     flagged: list[set[int]] = field(default_factory=list)
     clean: list[set[int]] = field(default_factory=list)
-    counts: dict[int, int] = field(default_factory=dict)
 
     def record(self, noisy: set[int], clean: set[int]) -> None:
         self.flagged.append(set(noisy))
         self.clean.append(set(clean))
-        for c in noisy:
-            self.counts[c] = self.counts.get(c, 0) + 1
 
     @property
     def num_rounds(self) -> int:
@@ -282,22 +279,21 @@ class Experiment:
     def __init__(self, dataset: LabeledDataset, test_set: LabeledDataset, *,
                  partition: PartitionSpec, noise: NoiseSpec,
                  client_config: ClientConfig, server_config: ServerConfig,
-                 hidden_dims=(64, 32), seed: int = 0, workers: int = 1,
-                 round_hook=None):
+                 hidden_dims, seed: int, workers: int, round_hook=None):
         if server_config.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {server_config.aggregator!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.round_hook = round_hook  # called with (round_idx, updates, new_global)
         self.dataset = dataset
         self.test_set = test_set
         self.client_config = client_config
         self.config = server_config
         self.seed = seed
-        self.workers = max(1, workers)
+        self.workers = workers
 
         c = server_config.num_clients
-        part = PartitionSpec(partition.kind, c, seed, partition.p_class,
-                             partition.alpha_dir, partition.sigma_log)
-        assignments = make_partitions(dataset, part)
+        assignments = make_partitions(dataset, partition, c, seed)
         self.noise_rates = sample_client_noise_rates(noise, c, (seed, 1))
         self.assignments = [
             apply_symmetric_noise(a, float(rate), dataset.num_classes,

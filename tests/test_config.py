@@ -35,8 +35,17 @@ def test_empty_object_gets_protocol_defaults(tmp_path):
     assert cfg.client.batch_size == 60
     assert cfg.client.local_epochs == 10
     assert cfg.server.aggregator == server.FED_NCL
-    assert cfg.partition.num_clients == 20
-    assert cfg.partition.seed == cfg.seed
+    # the partition's client count and seed are the server's and the run's
+    train, test = build_datasets(cfg)
+    exp = server.Experiment(
+        train, test, partition=cfg.partition, noise=cfg.noise,
+        client_config=cfg.client, server_config=cfg.server,
+        hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
+        workers=cfg.resolved_workers())
+    want = data.make_partitions(train, cfg.partition, 20, cfg.seed)
+    assert len(exp.assignments) == 20
+    for got, a in zip(exp.assignments, want):
+        assert np.array_equal(got.indices, a.indices)
 
 
 def test_negative_beta_names_the_key(tmp_path):
@@ -217,6 +226,14 @@ def test_workers_resolution(tmp_path):
     assert cfg.resolved_workers() >= 1
     cfg = parse_config(write_config(tmp_path, {"workers": 3}))
     assert cfg.resolved_workers() == 3
+
+
+def test_workers_zero_counts_only_the_cpus_the_process_may_use(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(cfg_mod.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    cfg = parse_config(write_config(tmp_path, {"workers": 0}))
+    assert cfg.resolved_workers() == 1
 
 
 @pytest.mark.parametrize("payload,key", [

@@ -5,22 +5,43 @@ import importlib.util
 import json
 import os
 
-from fednoisy import cli, nn
+from fednoisy import cli, config, nn, server
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "fedbench",
-                      "tracer.py")
+FEDBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "fedbench")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("fedbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"fedbench_{name}", os.path.join(FEDBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_child_times_the_experiment_setup_it_names(tmp_path, monkeypatch):
+    # child.time_setup builds server.Experiment with the keywords setup_s
+    # times; a signature change that breaks the benchmark fails here
+    built = []
+
+    class Recording(server.Experiment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(server, "Experiment", Recording)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "subset_size": 60, "test_size": 30, "hidden_dims": [8],
+        "server": {"num_clients": 3}, "workers": 1,
+        "out_dir": str(tmp_path / "out")}))
+    seconds = load("child").time_setup(config, server, str(path))
+    assert seconds > 0
+    assert len(built) == 1 and len(built[0].assignments) == 3
 
 
 def test_tracer_installs_and_uninstalls_cleanly():
     # a renamed or removed traced function makes install() raise here
-    tracer = load_tracer()
+    tracer = load("tracer")
     forward = nn.forward
     t = tracer.install()
     try:
@@ -51,7 +72,7 @@ def tiny_run(tmp_path, name, tracer=None):
 
 def test_traced_run_records_the_training_spans_and_keeps_the_metrics(
         tmp_path):
-    tracer = load_tracer()
+    tracer = load("tracer")
     want, _ = tiny_run(tmp_path, "plain")
     got, t = tiny_run(tmp_path, "traced", tracer)
     assert got == want

@@ -558,6 +558,42 @@ def test_unknown_aggregator_rejected():
         tiny_experiment("krum")
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_rejected(workers):
+    with pytest.raises(ValueError, match=f"workers.*{workers}"):
+        tiny_experiment(server.FEDAVG, workers=workers)
+
+
+def test_partition_spec_has_no_client_count_or_seed():
+    # both are the run's: ServerConfig.num_clients and the master seed
+    for key in ("num_clients", "seed"):
+        with pytest.raises(TypeError, match=key):
+            PartitionSpec(**{key: 5})
+
+
+PARTITION_DS = data.make_synthetic(3, 40, 6, 0.6, seed=100)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from([data.IID, data.CLASS_SKEW, data.QUANTITY_SKEW]),
+       clients=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_partitions_cover_disjointly_and_experiment_uses_its_count_and_seed(
+        kind, clients, seed):
+    spec = PartitionSpec(kind=kind)
+    parts = data.make_partitions(PARTITION_DS, spec, clients, seed)
+    assert [a.client_id for a in parts] == list(range(clients))
+    indices = np.concatenate([a.indices for a in parts])
+    assert np.array_equal(np.sort(indices), np.arange(len(PARTITION_DS)))
+    exp = server.Experiment(
+        PARTITION_DS, PARTITION_DS, partition=spec, noise=NoiseSpec(),
+        client_config=ClientConfig(),
+        server_config=ServerConfig(num_clients=clients), hidden_dims=(4,),
+        seed=seed, workers=1)
+    assert len(exp.assignments) == clients
+    for got, want in zip(exp.assignments, parts):
+        assert np.array_equal(got.indices, want.indices)
+
+
 @pytest.mark.parametrize("kind,kw", [
     ("class_skew", {"p_class": 1.0, "alpha_dir": 0.5}),
     ("quantity_skew", {"sigma_log": 0.3}),
@@ -572,7 +608,7 @@ def test_non_iid_partitions_run_end_to_end(kind, kw):
         client_config=ClientConfig(lr=0.05, local_epochs=1, batch_size=16),
         server_config=ServerConfig(aggregator=server.FED_NCL, rounds=2,
                                    num_clients=4),
-        hidden_dims=(8,), seed=5)
+        hidden_dims=(8,), seed=5, workers=1)
     metrics = exp.run()
     assert len(metrics) == 2
     assert all(0 <= r <= 1 for r in exp.noise_rates)
