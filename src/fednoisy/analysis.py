@@ -87,54 +87,96 @@ def probe_fingerprint(probe: np.ndarray) -> str:
 def cka_layer_report(client_models: Iterable[nn.ModelParams],
                      global_model: nn.ModelParams, probe: np.ndarray,
                      noisy_ids) -> CkaReport:
-    """Forward every model on a shared probe batch and compare layer features.
+    """Run every model on a shared probe batch and compare layer features.
 
-    ``client_models`` is consumed once, and each model runs forward once, so
-    a generator that reads the models from disk keeps one alive at a time.
-    Every entry is :func:`linear_cka` of the two models' features, computed
-    by :func:`_layer_cka` with a different summation order.
+    The layers are split into passes (:func:`_cka_passes`) whose widths add
+    up to at most the widest layer's. Each pass iterates ``client_models``
+    again and runs each model only up to the pass's last layer, so a source
+    that reads the models from disk keeps one alive at a time, and only the
+    pass's features are held. ``client_models`` must therefore be
+    re-iterable (a list, or :func:`checkpoint.client_models`); an iterator
+    raises ``TypeError``, and a pass that yields another model count than
+    the first raises ``ValueError``. Every entry is :func:`linear_cka` of the
+    two models' features, computed by :func:`_layer_cka` with a different
+    summation order.
     """
     if len(probe) < 2:
         raise ValueError("CKA needs at least 2 samples")
+    if iter(client_models) is client_models:
+        raise TypeError("cka_layer_report iterates the client models once "
+                        "per pass; pass a re-iterable, not an iterator")
     widths = [shape[0] for shape in global_model.shapes]
-    blocks: list = [[] for _ in widths]
-    num_clients = 0
-    for model in client_models:
-        _add_features(blocks, widths, num_clients, model, probe)
-        num_clients += 1
-    if num_clients < 1:
-        raise ValueError("need at least one client model")
-    noisy = sorted(int(c) for c in noisy_ids)
-    if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
-        raise ValueError(f"noisy client ids {noisy} must lie in "
-                         f"[0, {num_clients})")
-    clean = [c for c in range(num_clients) if c not in set(noisy)]
-    _add_features(blocks, widths, num_clients, global_model, probe)
+    matrices = []
+    num_clients = None
+    for layers in _cka_passes(widths):
+        blocks: list = [[] for _ in layers]
+        count = 0
+        for model in client_models:
+            _add_features(blocks, layers, widths, count, model, probe)
+            count += 1
+        if num_clients is None:
+            if count < 1:
+                raise ValueError("need at least one client model")
+            num_clients = count
+            noisy = sorted(int(c) for c in noisy_ids)
+            if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
+                raise ValueError(f"noisy client ids {noisy} must lie in "
+                                 f"[0, {num_clients})")
+        elif count != num_clients:
+            raise ValueError(f"the client models gave {count} models on the "
+                             f"pass for layers {list(layers)}, but "
+                             f"{num_clients} on the first pass")
+        _add_features(blocks, layers, widths, count, global_model, probe)
+        for k, l in enumerate(layers):
+            matrices.append(_layer_cka(blocks[k], widths[l], num_clients + 1))
+            # freed before the next layer's matrix and the next pass's blocks
+            blocks[k] = None
 
-    matrices, mean_noisy, mean_clean = [], [], []
     g = num_clients
-    for l, d in enumerate(widths):
-        # handed over, so that a layer's blocks are freed before the next's
-        layer, blocks[l] = blocks[l], None
-        mat = _layer_cka(layer, d, num_clients + 1)
-        matrices.append(mat)
-        mean_noisy.append(float(np.mean([mat[c, g] for c in noisy])) if noisy else math.nan)
-        mean_clean.append(float(np.mean([mat[c, g] for c in clean])) if clean else math.nan)
+    clean = [c for c in range(num_clients) if c not in set(noisy)]
+    mean_noisy = [float(np.mean([mat[c, g] for c in noisy])) if noisy else math.nan
+                  for mat in matrices]
+    mean_clean = [float(np.mean([mat[c, g] for c in clean])) if clean else math.nan
+                  for mat in matrices]
     return CkaReport(probe_fingerprint(probe), num_clients, noisy,
                      matrices, mean_noisy, mean_clean)
 
 
-def _add_features(blocks: list[list[np.ndarray]], widths: list[int], i: int,
-                  model: nn.ModelParams, probe: np.ndarray) -> None:
-    """Centre model i's features at every layer into its d columns of the
-    layer's block i // _CKA_BLOCK, from one forward pass.
+def _cka_passes(widths: list[int]) -> list[range]:
+    """Runs of consecutive layers whose widths add up to at most the widest
+    layer's: 784-64-32-10 gives {0} and {1, 2}. Each run is one pass of
+    cka_layer_report, so its features take no more memory than the widest
+    layer's alone, and the first layers run once per pass."""
+    max_width = max(widths)
+    passes, start, total = [], 0, 0
+    for l, d in enumerate(widths):
+        if total + d > max_width:
+            passes.append(range(start, l))
+            start, total = l, 0
+        total += d
+    passes.append(range(start, len(widths)))
+    return passes
 
-    A block is allocated when its first model arrives. Several blocks, not
-    one (n, M*d) array: small blocks reuse memory the allocator already
-    holds, where one large array maps new pages.
+
+def _add_features(blocks: list[list[np.ndarray]], layers: range,
+                  widths: list[int], i: int, model: nn.ModelParams,
+                  probe: np.ndarray) -> None:
+    """Centre model i's features at each of ``layers`` into its d columns of
+    the layer's block i // _CKA_BLOCK, from one forward pass of the model's
+    layers up to the last of them.
+
+    The pass runs a prefix of ``model`` that shares its buffer. A block is
+    allocated when its first model arrives. Several blocks, not one (n, M*d)
+    array: small blocks reuse memory the allocator already holds, where one
+    large array maps new pages.
     """
+    stop = layers.stop
+    prefix = nn.ModelParams.from_flat(
+        model.flat[..., :model.layer_slices[stop - 1].stop],
+        model.shapes[:stop], model.activations[:stop])
     b, col = divmod(i, _CKA_BLOCK)
-    for layer, d, a in zip(blocks, widths, nn.forward(model, probe)[0],
+    feats = nn.forward(prefix, probe)[0][layers.start:]
+    for layer, d, a in zip(blocks, widths[layers.start:stop], feats,
                            strict=True):
         if col == 0:
             layer.append(np.empty((len(probe), _CKA_BLOCK * d)))

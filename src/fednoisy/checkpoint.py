@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -25,20 +25,6 @@ GLOBAL_NAME = "global.bin"
 # the keys load_round reads
 MANIFEST_KEYS = ("layer_shapes", "activations", "global", "clients",
                  "noise_rates", "round")
-
-
-def params_to_blob(params: nn.ModelParams) -> bytes:
-    return params.flat.astype("<f8", copy=False).tobytes()
-
-
-def params_from_blob(blob: bytes, layer_shapes: list[list[int]],
-                     activations: list[str]) -> nn.ModelParams:
-    expected = sum(o * i + o for o, i in layer_shapes)
-    if len(blob) != 8 * expected:
-        raise DataFormatError(
-            f"checkpoint blob holds {len(blob)} bytes, expected {8 * expected}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    return nn.ModelParams.from_flat(flat, layer_shapes, activations)
 
 
 def round_dir(base_dir, round_idx: int) -> str:
@@ -61,11 +47,9 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
     }
     if probe_id is not None:
         manifest["probe_id"] = probe_id
-    with open(os.path.join(path, GLOBAL_NAME), "wb") as fh:
-        fh.write(params_to_blob(global_params))
-    for name, params in zip(manifest["clients"], client_params):
-        with open(os.path.join(path, name), "wb") as fh:
-            fh.write(params_to_blob(params))
+    for name, params in zip([GLOBAL_NAME, *manifest["clients"]],
+                            [global_params, *client_params]):
+        params.flat.astype("<f8", copy=False).tofile(os.path.join(path, name))
     # written last and renamed into place, so a readable manifest always
     # describes a complete round, even after a crash mid-write
     manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -111,20 +95,33 @@ def read_model(path, name: str, manifest: dict) -> nn.ModelParams:
     blob_path = os.path.join(path, name)
     if not os.path.isfile(blob_path):
         raise FileNotFoundError(f"missing checkpoint blob: {blob_path}")
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return params_from_blob(blob, manifest["layer_shapes"],
-                                manifest["activations"])
-    except DataFormatError as err:
-        raise DataFormatError(f"{blob_path}: {err}") from None
+    shapes = manifest["layer_shapes"]
+    nbytes = os.path.getsize(blob_path)
+    expected = 8 * sum(o * i + o for o, i in shapes)
+    if nbytes != expected:
+        raise DataFormatError(f"{blob_path}: checkpoint blob holds {nbytes} "
+                              f"bytes, expected {expected}")
+    # read straight into the model's buffer, which "<f8" is on a
+    # little-endian host (elsewhere astype swaps the bytes)
+    flat = np.fromfile(blob_path, dtype="<f8").astype(np.float64, copy=False)
+    return nn.ModelParams.from_flat(flat, shapes, manifest["activations"])
 
 
-def client_models(path, manifest: dict) -> Iterator[nn.ModelParams]:
-    """The manifest's client models in order, each read only when the
-    previous one is consumed."""
-    for name in manifest["clients"]:
-        yield read_model(path, name, manifest)
+class _ClientModels:
+    def __init__(self, path, manifest: dict):
+        self.path = path
+        self.manifest = manifest
+
+    def __iter__(self) -> Iterator[nn.ModelParams]:
+        for name in self.manifest["clients"]:
+            yield read_model(self.path, name, self.manifest)
+
+
+def client_models(path, manifest: dict) -> Iterable[nn.ModelParams]:
+    """The manifest's client models in order. Every iteration reads the
+    blobs again, each only when the previous model is consumed, so any
+    number of passes keep one model alive at a time."""
+    return _ClientModels(path, manifest)
 
 
 def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float], int]:

@@ -1,5 +1,7 @@
 """Unit tests for CKA, divergence traces, accuracy, and metrics persistence."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,56 +141,95 @@ def test_report_rejects_zero_variance_model():
                                   [1])
 
 
-def test_report_runs_each_model_forward_once(monkeypatch):
-    models = small_models(K + 2)
-    forward, calls = nn.forward, []
+@pytest.mark.parametrize("widths, passes", [
+    ([64, 32, 10], [[0], [1, 2]]),      # the 784-64-32-10 MLP
+    ([5, 4, 3], [[0], [1], [2]]),
+    ([32, 64, 10], [[0], [1], [2]]),
+    ([4, 4, 8], [[0, 1], [2]]),
+    ([7], [[0]]),
+])
+def test_passes_hold_at_most_the_widest_layer(widths, passes):
+    assert [list(p) for p in analysis._cka_passes(widths)] == passes
 
-    def counting_forward(params, batch):
-        calls.append(id(params))
+
+def test_report_runs_each_pass_up_to_its_last_layer(monkeypatch):
+    # widths 6, 4, 2: passes {0} and {1, 2}
+    models = small_models(K + 2, sizes=(6, 6, 4, 2))
+    forward, depths = nn.forward, []
+
+    def recording_forward(params, batch):
+        depths.append(params.num_layers)
         return forward(params, batch)
 
-    monkeypatch.setattr(nn, "forward", counting_forward)
+    monkeypatch.setattr(nn, "forward", recording_forward)
     report = analysis.cka_layer_report(models[:-1], models[-1],
                                        rand(20, 6, 2), [0])
     assert report.num_layers == 3
-    assert sorted(calls) == sorted(id(m) for m in models)
+    assert depths == [1] * len(models) + [3] * len(models)
 
 
-class OneShot:
-    """An iterable that may be iterated only once, like a generator that
-    reads models from disk."""
+class Reloading:
+    """A re-iterable that, like ``checkpoint.client_models``, makes a fresh
+    model on every step of every pass. ``live`` records, as each model is
+    made, how many it made before are still alive."""
 
-    def __init__(self, items):
-        self.items = items
-        self.used = False
+    def __init__(self, models, short_from_pass=None):
+        self.models = models
+        self.short_from_pass = short_from_pass
+        self.passes = 0
+        self.refs, self.live = [], []
 
     def __iter__(self):
-        assert not self.used, "iterated twice"
-        self.used = True
-        yield from self.items
+        self.passes += 1
+        models = self.models
+        if self.short_from_pass is not None \
+                and self.passes >= self.short_from_pass:
+            models = models[:-1]
+        for m in models:
+            self.live.append(sum(r() is not None for r in self.refs))
+            fresh = m.copy()
+            self.refs.append(weakref.ref(fresh))
+            yield fresh
 
 
 def test_report_streams_client_models():
     models = small_models(K + 3)
     probe = rand(25, 6, 3)
     want = analysis.cka_layer_report(models[:-1], models[-1], probe, [1, 4])
-    stream = OneShot(models[:-1])
-    got = analysis.cka_layer_report(stream, models[-1], probe, [1, 4])
-    assert stream.used
-    got_gen = analysis.cka_layer_report((m for m in models[:-1]), models[-1],
-                                        probe, [1, 4])
-    for report in (got, got_gen):
-        assert report.num_clients == K + 2
-        assert report.mean_noisy == want.mean_noisy
-        assert report.mean_clean == want.mean_clean
-        for a, b in zip(report.matrices, want.matrices, strict=True):
-            assert a.tobytes() == b.tobytes()
+    source = Reloading(models[:-1])
+    got = analysis.cka_layer_report(source, models[-1], probe, [1, 4])
+    # widths 5, 4, 3: one pass per layer, each holding at most the model
+    # made before
+    assert source.passes == 3
+    assert len(source.live) == 3 * (K + 2) and max(source.live) <= 1
+    assert got.num_clients == K + 2
+    assert got.mean_noisy == want.mean_noisy
+    assert got.mean_clean == want.mean_clean
+    for a, b in zip(got.matrices, want.matrices, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("source", [
+    lambda models: (m for m in models), lambda models: iter(models)])
+def test_report_refuses_an_iterator(source):
+    models = small_models(3)
+    with pytest.raises(TypeError, match="re-iterable"):
+        analysis.cka_layer_report(source(models[:2]), models[2],
+                                  rand(20, 6, 1), [0])
+
+
+@pytest.mark.parametrize("short_from_pass", [2, 3])
+def test_report_rejects_a_source_that_shrinks(short_from_pass):
+    models = small_models(K + 2)
+    source = Reloading(models[:-1], short_from_pass)
+    with pytest.raises(ValueError, match=f"gave {K} models .* but {K + 1}"):
+        analysis.cka_layer_report(source, models[-1], rand(20, 6, 4), [0])
 
 
 def test_report_rejects_an_empty_client_stream():
     model = small_models(1)[0]
     with pytest.raises(ValueError, match="at least one client"):
-        analysis.cka_layer_report(iter([]), model, rand(20, 6, 1), [])
+        analysis.cka_layer_report([], model, rand(20, 6, 1), [])
 
 
 @pytest.mark.parametrize("noisy", [[2], [-1], [0, 5]])

@@ -17,20 +17,27 @@ def model(seed=0):
     return nn.init_params(nn.mlp_specs([5, 4, 3]), seed)
 
 
-def test_blob_round_trip():
+def save_one(tmp_path, m):
+    """Save ``m`` as the global model of a round; returns the round
+    directory, its manifest and the blob's path."""
+    path = checkpoint.save_round(tmp_path, 1, m, [m], [0.0])
+    manifest = checkpoint.read_manifest(path)
+    return path, manifest, os.path.join(path, manifest["global"])
+
+
+def test_blob_round_trip(tmp_path):
     m = model(1)
-    blob = checkpoint.params_to_blob(m)
-    shapes = [list(w.shape) for w in m.weights]
-    back = checkpoint.params_from_blob(blob, shapes, m.activations)
+    path, manifest, _ = save_one(tmp_path, m)
+    back = checkpoint.read_model(path, manifest["global"], manifest)
     for l in range(m.num_layers):
         assert np.array_equal(back.weights[l], m.weights[l])
         assert np.array_equal(back.biases[l], m.biases[l])
     assert back.activations == m.activations
 
 
-def test_blob_is_little_endian_float64():
+def test_blob_is_little_endian_float64(tmp_path):
     m = model(2)
-    blob = checkpoint.params_to_blob(m)
+    blob = open(save_one(tmp_path, m)[2], "rb").read()
     n_params = sum(w.size + b.size for w, b in zip(m.weights, m.biases))
     assert len(blob) == 8 * n_params
     first = np.frombuffer(blob[:8], dtype="<f8")[0]
@@ -39,23 +46,31 @@ def test_blob_is_little_endian_float64():
 
 @settings(max_examples=40, deadline=None)
 @given(model_stacks())
-def test_blob_is_flat_buffer_and_round_trips(models):
-    for m in models:
-        blob = checkpoint.params_to_blob(m)
-        assert blob == flatten_params(m).astype("<f8").tobytes()
-        back = checkpoint.params_from_blob(blob, [list(s) for s in m.shapes],
-                                           m.activations)
+def test_blob_is_flat_buffer_and_round_trips(tmp_path_factory, models):
+    # the clients are rows of one stacked buffer, as a cohort's are
+    stack = np.stack([m.flat for m in models])
+    clients = [nn.ModelParams.from_flat(row, m.shapes, m.activations)
+               for row, m in zip(stack, models)]
+    path = checkpoint.save_round(tmp_path_factory.mktemp("blobs"), 1,
+                                 models[0], clients, [0.0] * len(models))
+    manifest = checkpoint.read_manifest(path)
+    names = [manifest["global"], *manifest["clients"]]
+    for name, m in zip(names, [models[0], *models], strict=True):
+        with open(os.path.join(path, name), "rb") as fh:
+            assert fh.read() == flatten_params(m).astype("<f8").tobytes()
+        back = checkpoint.read_model(path, name, manifest)
+        assert back.flat.dtype == np.float64
         assert back.flat.tobytes() == m.flat.tobytes()
-        assert back.shapes == m.shapes
-        assert back.activations == m.activations
+        assert back.shapes == m.shapes and back.activations == m.activations
 
 
-def test_blob_size_mismatch_rejected():
-    m = model(3)
-    blob = checkpoint.params_to_blob(m)
-    with pytest.raises(DataFormatError):
-        checkpoint.params_from_blob(blob[:-8], [list(w.shape) for w in m.weights],
-                                    m.activations)
+def test_blob_size_mismatch_rejected(tmp_path):
+    path, manifest, blob_path = save_one(tmp_path, model(3))
+    with open(blob_path, "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(DataFormatError, match="expected") as err:
+        checkpoint.read_model(path, manifest["global"], manifest)
+    assert blob_path in str(err.value)
 
 
 def test_round_save_load(tmp_path):
@@ -162,13 +177,21 @@ def test_client_models_streams_the_blobs_in_order(tmp_path):
     clients = [model(s) for s in range(10, 14)]
     path = checkpoint.save_round(tmp_path, 20, model(9), clients, [0.0] * 4)
     manifest = checkpoint.read_manifest(path)
-    stream = checkpoint.client_models(path, manifest)
+    models = checkpoint.client_models(path, manifest)
+    want = [c.flat.tobytes() for c in clients]
+    assert [m.flat.tobytes() for m in models] == want
+    # every pass reads the blobs again
+    replaced = model(15)
+    replaced.flat.tofile(os.path.join(path, manifest["clients"][1]))
+    assert [m.flat.tobytes() for m in models] == [
+        want[0], replaced.flat.tobytes(), *want[2:]]
+    stream = iter(models)
     first = next(stream)
-    assert first.flat.tobytes() == clients[0].flat.tobytes()
+    assert first.flat.tobytes() == want[0]
     # the blobs are read as the stream is consumed, not up front
     os.remove(os.path.join(path, manifest["clients"][3]))
     assert [m.flat.tobytes() for m in itertools.islice(stream, 2)] == [
-        c.flat.tobytes() for c in clients[1:3]]
+        replaced.flat.tobytes(), want[2]]
     with pytest.raises(FileNotFoundError, match="client_003.bin"):
         next(stream)
 

@@ -421,7 +421,8 @@ def test_cka_peak_memory_below_one_pool(tmp_path):
     assert peak < pool_bytes
 
 
-def test_cka_streams_models_below_all_models_plus_layer0(tmp_path):
+def test_cka_streams_models_below_all_models_plus_layer0(tmp_path,
+                                                         monkeypatch):
     # 39 clients and the global model fill 5 blocks of _CKA_BLOCK models
     clients, hidden = 39, [64, 32]
     out = tmp_path / "stream"
@@ -436,16 +437,29 @@ def test_cka_streams_models_below_all_models_plus_layer0(tmp_path):
     models = clients + 1
     global_model, _, _, _ = checkpoint.load_round(
         checkpoint.round_dir(out / "checkpoints", 1))
-    all_models = models * global_model.flat.nbytes
-    layer0_blocks = CKA_PROBE_SIZE * models * hidden[0] * 8
+    widest_blocks = CKA_PROBE_SIZE * models * hidden[0] * 8
+    # a forward pass's (n, width) arrays: product, bias sum, activation
+    forward = 3 * CKA_PROBE_SIZE * hidden[0] * 8
+    report, held = analysis.cka_layer_report, []
+
+    def measured(*args, **kwargs):
+        # what cka holds before the report: the probe, the global model
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "cka_layer_report", measured)
     tracemalloc.start()
     try:
         assert main(["cka", "--config", path]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # holding every model while layer 0's features are blocked costs more
-    assert peak < all_models + layer0_blocks
+    # one pass's features at a time, and no pass's outgrow the widest
+    # layer's: holding every layer's blocks at once (17.4 MB here) costs
+    # more than this, and so does holding every model
+    assert peak - held[0] < (widest_blocks + 2 * global_model.flat.nbytes
+                             + forward)
 
 
 def corrupt_and_run_cka(tmp_path, capsys, corrupt):
