@@ -4,9 +4,13 @@ A blob is a model's ``ModelParams.flat`` buffer verbatim (W0, b0, W1, b1, ...).
 
 A round directory holds ``global.bin``, one ``client_###.bin`` per client,
 and ``manifest.json`` recording layer shapes, activations, and the ground
-truth noise rates (so CKA analysis can split noisy/clean groups later). A
-run also records ``probe_id``, the fingerprint of its CKA probe, so that
-``cka`` can refuse a config that rebuilds a different probe.
+truth noise rates (so CKA analysis can split noisy/clean groups later).
+
+Beside the rounds, ``probe.npy`` holds the run's CKA probe rows (an .npy
+array, written once by :func:`save_probe`), and every manifest of the run
+records its fingerprint as ``probe_id``. :func:`read_probe` refuses a probe
+file whose fingerprint is not the manifest's, so ``cka`` needs neither the
+run's data nor its seed and never pairs models with another run's probe.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import nn
+from .analysis import probe_fingerprint
 from .errors import DataFormatError
 
 MANIFEST_NAME = "manifest.json"
 GLOBAL_NAME = "global.bin"
+PROBE_NAME = "probe.npy"
 # the keys load_round reads
 MANIFEST_KEYS = ("layer_shapes", "activations", "global", "clients",
                  "noise_rates", "round")
@@ -29,6 +35,46 @@ MANIFEST_KEYS = ("layer_shapes", "activations", "global", "clients",
 
 def round_dir(base_dir, round_idx: int) -> str:
     return os.path.join(base_dir, f"round_{round_idx:04d}")
+
+
+def _replace_file(path, mode: str, write) -> None:
+    """Call ``write(fh)`` on a temporary file opened with ``mode`` and
+    renamed over ``path``, so a crash mid-write never leaves a truncated
+    ``path``."""
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, mode) as fh:
+            write(fh)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+
+
+def save_probe(base_dir, probe: np.ndarray) -> str:
+    """Write the CKA probe rows to ``base_dir/probe.npy``; returns their
+    fingerprint, the ``probe_id`` the run's manifests record."""
+    os.makedirs(base_dir, exist_ok=True)
+    _replace_file(os.path.join(base_dir, PROBE_NAME), "wb",
+                  lambda fh: np.save(fh, probe, allow_pickle=False))
+    return probe_fingerprint(probe)
+
+
+def read_probe(base_dir, manifest: dict) -> np.ndarray:
+    """The probe rows in ``base_dir/probe.npy``, refused unless their
+    fingerprint is the ``probe_id`` that ``manifest`` records."""
+    probe_path = os.path.join(base_dir, PROBE_NAME)
+    if not os.path.isfile(probe_path):
+        raise FileNotFoundError(f"missing CKA probe: expected {probe_path}; "
+                                "rerun with save_checkpoints=true")
+    probe = np.load(probe_path, allow_pickle=False)
+    found = probe_fingerprint(probe)
+    stored = manifest.get("probe_id")
+    if found != stored:
+        raise DataFormatError(
+            f"{probe_path} holds CKA probe {found}, but the checkpoint "
+            f"manifest records {stored or '(no probe_id)'}")
+    return probe
 
 
 def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
@@ -52,16 +98,11 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
         params.flat.astype("<f8", copy=False).tofile(os.path.join(path, name))
     # written last and renamed into place, so a readable manifest always
     # describes a complete round, even after a crash mid-write
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    tmp_path = manifest_path + ".tmp"
-    try:
-        with open(tmp_path, "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_path, manifest_path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    def write_manifest(fh):
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+    _replace_file(os.path.join(path, MANIFEST_NAME), "w", write_manifest)
     return path
 
 

@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__, analysis, checkpoint, data, server
 from .analysis import _f, mean_last_accuracy
 from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_config,
-                     build_datasets, build_probe, config_to_dict,
-                     parse_config)
+                     build_datasets, config_to_dict, parse_config)
 from .errors import ConfigError
 from .server import Experiment, detection_precision_recall
 
@@ -104,18 +103,43 @@ def _write_run_outputs(cfg: ExperimentConfig, exp: Experiment, metrics,
 
 
 def _clear_previous_run(out_dir: str) -> None:
-    """Remove the checkpoint rounds and CKA tables an earlier run left in
-    ``out_dir``, so that ``cka`` never reports on another run's models."""
+    """Remove the checkpoint rounds, CKA probe and CKA tables an earlier run
+    left in ``out_dir``, so that ``cka`` never reports on another run's
+    models."""
+    ckpt_base = os.path.join(out_dir, "checkpoints")
     stale = glob.glob(os.path.join(out_dir, "cka_layer_*.csv"))
     stale.append(os.path.join(out_dir, "cka_mean_depth.csv"))
+    stale.append(os.path.join(ckpt_base, checkpoint.PROBE_NAME))
     for path in stale:
         if os.path.isfile(path):
             os.remove(path)
-    ckpt_base = os.path.join(out_dir, "checkpoints")
     for round_idx in checkpoint.available_rounds(ckpt_base):
         path = checkpoint.round_dir(ckpt_base, round_idx)
         if os.path.isdir(path):
             shutil.rmtree(path)
+
+
+def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
+    """Train ``cfg``'s experiment and write its outputs to ``out_dir``. With
+    save_checkpoints, the CKA probe (the first test rows, which ``cka``
+    reads back) and every ``checkpoint_every``-th round go to
+    ``out_dir/checkpoints``."""
+    hook = None
+    if cfg.save_checkpoints:
+        ckpt_dir = os.path.join(out_dir, "checkpoints")
+        probe_id = checkpoint.save_probe(ckpt_dir,
+                                         test.features[:CKA_PROBE_SIZE])
+
+        def hook(round_idx, updates, new_global):
+            if round_idx % cfg.checkpoint_every == 0:
+                checkpoint.save_round(ckpt_dir, round_idx, new_global,
+                                      [u.params for u in updates],
+                                      exp.noise_rates, probe_id=probe_id)
+
+    exp = _build_experiment(cfg, train, test, round_hook=hook)
+    metrics = exp.run()
+    _write_run_outputs(cfg, exp, metrics, out_dir)
+    return metrics
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -123,21 +147,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
     _clear_previous_run(out_dir)
     train, test = build_datasets(cfg)
-
-    hook = None
-    if cfg.save_checkpoints:
-        ckpt_dir = os.path.join(out_dir, "checkpoints")
-        probe_id = analysis.probe_fingerprint(test.features[:CKA_PROBE_SIZE])
-
-        def hook(round_idx, updates, new_global, _dir=ckpt_dir):
-            if round_idx % cfg.checkpoint_every == 0:
-                checkpoint.save_round(_dir, round_idx, new_global,
-                                      [u.params for u in updates],
-                                      exp.noise_rates, probe_id=probe_id)
-
-    exp = _build_experiment(cfg, train, test, round_hook=hook)
-    metrics = exp.run()
-    _write_run_outputs(cfg, exp, metrics, out_dir)
+    metrics = _train_into(cfg, train, test, out_dir)
     acc = metrics[-1].test_accuracy if metrics else float("nan")
     print(f"run complete: {len(metrics)} rounds, "
           f"final accuracy {acc:.4f}, outputs in {out_dir}")
@@ -167,9 +177,8 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
         run_cfg = dataclasses.replace(cfg, server=sub, client=client_cfg)
         sub_dir = os.path.join(out_dir, name)
         os.makedirs(sub_dir, exist_ok=True)
-        exp = _build_experiment(run_cfg, train, test)
-        metrics = exp.run()
-        _write_run_outputs(run_cfg, exp, metrics, sub_dir)
+        _clear_previous_run(sub_dir)
+        metrics = _train_into(run_cfg, train, test, sub_dir)
         columns[name] = [m.test_accuracy for m in metrics]
         print(f"{name}: final accuracy "
               f"{columns[name][-1] if columns[name] else float('nan'):.4f}")
@@ -222,16 +231,9 @@ def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
             f"rounds: {', '.join(map(str, rounds))}")
     path = checkpoint.round_dir(ckpt_base, round_idx)
     manifest = checkpoint.read_manifest(path)
-    stored_id = manifest.get("probe_id")
-    probe = build_probe(cfg, CKA_PROBE_SIZE)
-    probe_id = analysis.probe_fingerprint(probe)
-    if stored_id != probe_id:
-        raise ConfigError(
-            f"checkpoint {path} was written for CKA probe "
-            f"{stored_id or '(none recorded)'}, but this config gives probe "
-            f"{probe_id}; run cka with the config and --seed of the run")
-
-    # the probe check pins cka's inputs; the run's config echo stays its own
+    # the run's own probe: the config's dataset and seed are not read, and
+    # the run's config echo stays its own
+    probe = checkpoint.read_probe(ckpt_base, manifest)
     out_dir = cfg.out_dir
     global_params = checkpoint.read_model(path, manifest["global"], manifest)
     noisy_ids = [c for c, r in enumerate(manifest["noise_rates"]) if r > 0]

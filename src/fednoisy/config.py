@@ -254,51 +254,25 @@ def config_to_dict(cfg) -> dict:
     return echo
 
 
-def _synthetic_pool_args(cfg: ExperimentConfig) -> tuple:
-    # one pool so train and test share the class centers; the generator
-    # shuffles, so slicing gives disjoint i.i.d. splits
-    ds = cfg.dataset
-    per_class = -(-(cfg.subset_size + cfg.test_size) // ds.classes)
-    return ds.classes, per_class, ds.dims, ds.spread, (cfg.seed, 10)
-
-
 def build_datasets(cfg: ExperimentConfig):
     """Materialize (train, test) datasets for a config."""
     if cfg.dataset.kind == SYNTHETIC:
-        pool = data.make_synthetic(*_synthetic_pool_args(cfg))
+        # one pool so train and test share the class centers; the generator
+        # shuffles, so slicing gives disjoint i.i.d. splits
+        ds = cfg.dataset
         total = cfg.subset_size + cfg.test_size
+        pool = data.make_synthetic(ds.classes, -(-total // ds.classes),
+                                   ds.dims, ds.spread, (cfg.seed, 10))
         train = pool.subset(slice(0, cfg.subset_size))
         test = pool.subset(slice(cfg.subset_size, total))
         return train, test
 
     train = data.load_idx(cfg.dataset.images, cfg.dataset.labels)
-    test = _load_test_idx(cfg)
+    # the first test_size test images (all with 0)
+    test = data.load_idx(cfg.dataset.test_images, cfg.dataset.test_labels,
+                         cfg.test_size or None)
     if cfg.subset_size and cfg.subset_size < len(train):
         rng = np.random.default_rng((cfg.seed, 12))
         keep = rng.choice(len(train), size=cfg.subset_size, replace=False)
         train = train.subset(np.sort(keep))
     return train, test
-
-
-def _load_test_idx(cfg: ExperimentConfig, size: int | None = None
-                   ) -> data.LabeledDataset:
-    """The first ``test_size`` test images (all with 0), at most ``size``."""
-    count = cfg.test_size or None
-    if size is not None:
-        count = size if count is None else min(count, size)
-    return data.load_idx(cfg.dataset.test_images, cfg.dataset.test_labels,
-                         count)
-
-
-def build_probe(cfg: ExperimentConfig, size: int) -> np.ndarray:
-    """The first ``size`` test feature rows, ``build_datasets(cfg)[1]
-    .features[:size]`` bit for bit, without building the training set.
-
-    Synthetic rows are regenerated from the pool's seed without building the
-    pool; IDX data reads only the test image/label pair.
-    """
-    if cfg.dataset.kind == SYNTHETIC:
-        rows = np.arange(cfg.subset_size,
-                         cfg.subset_size + min(size, cfg.test_size))
-        return data.synthetic_rows(*_synthetic_pool_args(cfg), rows).features
-    return _load_test_idx(cfg, size).features

@@ -151,17 +151,6 @@ def load_idx(images_path, labels_path, count: int | None = None
                           int(labels.max()) + 1 if n else 0)
 
 
-def _synthetic_blobs(num_classes: int, per_class: int, dim: int, seed):
-    """The class centers and the unshuffled labels of ``make_synthetic``,
-    with the generator positioned at the first feature-noise draw."""
-    if num_classes < 2 or per_class < 1:
-        raise ValueError("need num_classes >= 2 and per_class >= 1")
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
-    labels = np.repeat(np.arange(num_classes), per_class)
-    return rng, centers, labels
-
-
 def make_synthetic(num_classes: int, per_class: int, dim: int, spread: float,
                    seed: int) -> LabeledDataset:
     """Gaussian blobs, one center per class; linearly separable for small spread.
@@ -169,7 +158,11 @@ def make_synthetic(num_classes: int, per_class: int, dim: int, spread: float,
     Row i is ``centers[labels[j]] + spread * noise[j]`` for j = order[i]. It
     is built in place, so the pool is the only large array alive.
     """
-    rng, centers, labels = _synthetic_blobs(num_classes, per_class, dim, seed)
+    if num_classes < 2 or per_class < 1:
+        raise ValueError("need num_classes >= 2 and per_class >= 1")
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
+    labels = np.repeat(np.arange(num_classes), per_class)
     features = rng.normal(size=(labels.size, dim))
     features *= spread
     # the unshuffled labels run class by class, per_class rows each
@@ -212,47 +205,6 @@ def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
             end = min(t + _PERMUTE_CHUNK_ROWS, last)
             rows[cycle[t:end]] = rows[cycle[t + 1:end + 1]]
         rows[cycle[last]] = first
-
-
-# rows of noise drawn per saved generator state in synthetic_rows: saving a
-# state costs about as much as drawing 270 normals, and at 784 dims 4 rows
-# drew a 512-row probe from a 3000-row pool fastest (1, 2 and 8 were slower)
-_SYNTH_CHUNK_ROWS = 4
-
-
-def synthetic_rows(num_classes: int, per_class: int, dim: int, spread: float,
-                   seed, rows) -> LabeledDataset:
-    """Rows ``rows`` of ``make_synthetic(...)``, bit for bit, without
-    building the pool.
-
-    The shuffle is drawn after all the noise, so a first pass draws the
-    noise in chunks into one small buffer only to reach it, saving the
-    generator state at each chunk. A second pass restores the state of each
-    chunk that a requested row's source row falls in and draws that chunk
-    again, up to the last source row it needs.
-    """
-    rng, centers, labels = _synthetic_blobs(num_classes, per_class, dim, seed)
-    n = labels.size
-    rows = np.asarray(rows, dtype=np.int64)
-    if np.any((rows < 0) | (rows >= n)):
-        raise IndexError(f"rows must be in [0, {n})")
-    chunk = _SYNTH_CHUNK_ROWS
-    buf = np.empty((min(chunk, n), dim))
-    states = []
-    for start in range(0, n, chunk):
-        states.append(rng.bit_generator.state)
-        rng.standard_normal(out=buf[:min(chunk, n - start)])
-    source = rng.permutation(n)[rows]
-
-    features = np.empty((rows.size, dim))
-    chunk_of = source // chunk
-    for c in np.unique(chunk_of):
-        hit = chunk_of == c
-        offset = source[hit] - c * chunk
-        rng.bit_generator.state = states[c]
-        rng.standard_normal(out=buf[:offset.max() + 1])
-        features[hit] = centers[labels[source[hit]]] + spread * buf[offset]
-    return LabeledDataset(features, labels[source], num_classes)
 
 
 # -------------------------------------------------------------- partitions

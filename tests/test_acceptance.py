@@ -23,6 +23,9 @@ from fednoisy.server import (Experiment, ServerConfig, aggregate_fedavg,
                              detection_precision_recall, layerwise_weights)
 from tests_util import truncated_normal_cdf
 
+# minutes of federated rounds; `pytest -m "not slow"` is the quick loop
+pytestmark = pytest.mark.slow
+
 WORKERS = min(2, os.cpu_count() or 1)
 
 

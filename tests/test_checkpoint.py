@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fednoisy import checkpoint, nn
+from fednoisy import analysis, checkpoint, nn
 from fednoisy.errors import DataFormatError
 from tests_util import flatten_params, model_stacks
 
@@ -95,6 +96,47 @@ def test_manifest_records_probe_id_when_given(tmp_path):
     assert "probe_id" not in checkpoint.read_manifest(without)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_probe_round_trips_bit_for_bit(tmp_path_factory, rows, cols, data_):
+    values = data_.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                 min_size=(rows + 1) * cols,
+                                 max_size=(rows + 1) * cols))
+    # leading rows of a larger array, as run's probe is of its test set
+    probe = np.array(values).reshape(rows + 1, cols)[:rows]
+    base = tmp_path_factory.mktemp("probe")
+    probe_id = checkpoint.save_probe(base, probe)
+    assert probe_id == analysis.probe_fingerprint(probe)
+    assert os.listdir(base) == [checkpoint.PROBE_NAME]
+    back = checkpoint.read_probe(base, {"probe_id": probe_id})
+    assert back.dtype == np.float64 and back.shape == probe.shape
+    assert back.tobytes() == probe.tobytes()
+
+
+def test_save_probe_replaces_an_earlier_probe(tmp_path):
+    checkpoint.save_probe(tmp_path, np.zeros((4, 3)))
+    probe_id = checkpoint.save_probe(tmp_path, np.ones((2, 3)))
+    back = checkpoint.read_probe(tmp_path, {"probe_id": probe_id})
+    assert np.array_equal(back, np.ones((2, 3)))
+    assert os.listdir(tmp_path) == [checkpoint.PROBE_NAME]
+
+
+@pytest.mark.parametrize("manifest", [{}, {"probe_id": None},
+                                      {"probe_id": "n3d3-0123456789ab"}])
+def test_read_probe_refuses_another_fingerprint(tmp_path, manifest):
+    probe_id = checkpoint.save_probe(tmp_path, np.eye(3))
+    with pytest.raises(DataFormatError) as err:
+        checkpoint.read_probe(tmp_path, manifest)
+    assert os.path.join(tmp_path, checkpoint.PROBE_NAME) in str(err.value)
+    assert probe_id in str(err.value)
+
+
+def test_read_probe_names_a_missing_file(tmp_path):
+    with pytest.raises(FileNotFoundError) as err:
+        checkpoint.read_probe(tmp_path, {"probe_id": "n3d3-0123456789ab"})
+    assert os.path.join(tmp_path, checkpoint.PROBE_NAME) in str(err.value)
+
+
 def test_available_rounds(tmp_path):
     assert checkpoint.available_rounds(tmp_path / "nothing") == []
     g = model(7)
@@ -123,6 +165,20 @@ def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
         "client_000.bin", "global.bin", checkpoint.MANIFEST_NAME]
     assert open(os.path.join(kept, checkpoint.MANIFEST_NAME),
                 "rb").read() == kept_bytes
+
+
+def test_failed_probe_write_leaves_the_earlier_probe(tmp_path, monkeypatch):
+    def half_save(fh, arr, **kwargs):
+        fh.write(b"\x93NUMPY")
+        raise OSError("disk full")
+
+    probe_id = checkpoint.save_probe(tmp_path, np.eye(3))
+    monkeypatch.setattr(checkpoint.np, "save", half_save)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.save_probe(tmp_path, np.ones((3, 3)))
+    assert os.listdir(tmp_path) == [checkpoint.PROBE_NAME]
+    back = checkpoint.read_probe(tmp_path, {"probe_id": probe_id})
+    assert np.array_equal(back, np.eye(3))
 
 
 def test_missing_manifest_lists_expected_path(tmp_path):

@@ -13,8 +13,7 @@ import pytest
 import fednoisy
 from fednoisy import analysis, checkpoint, cli
 from fednoisy.cli import CKA_PROBE_SIZE, main
-from fednoisy.config import (build_config, build_datasets, build_probe,
-                             config_to_dict, parse_config)
+from fednoisy.config import build_datasets, parse_config
 from tests_util import write_idx_pair
 
 
@@ -151,6 +150,37 @@ def test_compare_clean_runs_agree(tmp_path):
     rows = list(csv.reader(open(out / "comparison.csv")))
     final = rows[-1]
     assert abs(float(final[1]) - float(final[2])) <= 0.02
+
+
+def test_compare_saves_checkpoints_per_aggregator(tmp_path, capsys):
+    out = tmp_path / "cmp3"
+    cfg = base_config(out, save_checkpoints=True, checkpoint_every=2,
+                      noise={"mode": "fixed", "rates": [0.0, 0.0, 1.0, 1.0]},
+                      server={"rounds": 4})
+    path = write_config(tmp_path, cfg)
+    assert main(["compare", "--config", path,
+                 "--aggregators", "fedavg,fed_ncl"]) == 0
+    probe_id = analysis.probe_fingerprint(
+        build_datasets(parse_config(path))[1].features[:CKA_PROBE_SIZE])
+    for name in ("fedavg", "fed_ncl"):
+        ckpt = out / name / "checkpoints"
+        assert checkpoint.available_rounds(ckpt) == [2, 4]
+        manifest = checkpoint.read_manifest(checkpoint.round_dir(ckpt, 4))
+        assert manifest["probe_id"] == probe_id
+        assert (ckpt / checkpoint.PROBE_NAME).is_file()
+    assert not (out / "checkpoints").exists()
+    capsys.readouterr()
+    assert main(["cka", "--config", path, "--out", str(out / "fed_ncl")]) == 0
+    assert "CKA report for round 4 " in capsys.readouterr().out
+    assert len(cka_outputs(out / "fed_ncl")) == 3
+    # a rerun clears each aggregator's checkpoints and CKA tables
+    cfg["save_checkpoints"] = False
+    path = write_config(tmp_path, cfg, "rerun.json")
+    assert main(["compare", "--config", path,
+                 "--aggregators", "fedavg,fed_ncl"]) == 0
+    for name in ("fedavg", "fed_ncl"):
+        assert os.listdir(out / name / "checkpoints") == []
+        assert cka_outputs(out / name) == {}
 
 
 def test_compare_requires_two_aggregators(tmp_path):
@@ -322,29 +352,46 @@ def cka_outputs(out):
     return {p.name: p.read_bytes() for p in sorted(out.glob("cka_*.csv"))}
 
 
+def probe_file(out):
+    return out / "checkpoints" / checkpoint.PROBE_NAME
+
+
+@pytest.mark.parametrize("kind,test_size", [("synthetic", 60),
+                                            ("synthetic", 600), ("idx", 0)])
+def test_probe_file_is_the_first_test_rows(tmp_path, kind, test_size):
+    overrides = {"dataset": idx_dataset(tmp_path)} if kind == "idx" else {}
+    out, path = cka_run(tmp_path, test_size=test_size, **overrides)
+    want = build_datasets(parse_config(path))[1].features[:CKA_PROBE_SIZE]
+    assert len(want) == min(test_size or 80, CKA_PROBE_SIZE)
+    got = np.load(probe_file(out))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for round_idx in (2, 4):
+        manifest = checkpoint.read_manifest(
+            checkpoint.round_dir(out / "checkpoints", round_idx))
+        assert manifest["probe_id"] == analysis.probe_fingerprint(want)
+
+
 @pytest.mark.parametrize("kind", ["synthetic", "idx"])
-def test_cka_rebuilds_only_the_probe(tmp_path, monkeypatch, kind):
+def test_cka_needs_neither_the_data_nor_the_seed(tmp_path, monkeypatch, kind):
     overrides = {"dataset": idx_dataset(tmp_path)} if kind == "idx" else {}
     out, path = cka_run(tmp_path, **overrides)
-    # the report on the probe sliced from the full datasets
-    with monkeypatch.context() as mp:
-        mp.setattr(cli, "build_probe", lambda cfg, size:
-                   build_datasets(cfg)[1].features[:size])
-        assert main(["cka", "--config", path]) == 0
+    assert main(["cka", "--config", path]) == 0
     want = cka_outputs(out)
     assert len(want) == 3
     for name in want:
         os.remove(out / name)
 
-    def no_full_build(cfg):
-        raise AssertionError("cka built the full datasets")
+    def no_data(*args, **kwargs):
+        raise AssertionError("cka built a dataset")
 
-    monkeypatch.setattr(cli, "build_datasets", no_full_build)
+    monkeypatch.setattr(cli, "build_datasets", no_data)
+    monkeypatch.setattr(cli.data, "make_synthetic", no_data)
     if kind == "idx":
         cfg = parse_config(path)
-        os.remove(cfg.dataset.images)
-        os.remove(cfg.dataset.labels)
-    assert main(["cka", "--config", path]) == 0
+        for name in ("images", "labels", "test_images", "test_labels"):
+            os.remove(getattr(cfg.dataset, name))
+    assert main(["cka", "--config", path, "--seed", "5"]) == 0
     assert cka_outputs(out) == want
 
 
@@ -373,19 +420,54 @@ def test_rerun_into_the_same_directory_holds_one_run(tmp_path, capsys):
     assert "CKA report for round 2 " in capsys.readouterr().out
 
 
-def test_cka_refuses_a_different_probe(tmp_path, capsys):
-    out, path = cka_run(tmp_path)
-    manifest = checkpoint.read_manifest(
-        checkpoint.round_dir(out / "checkpoints", 4))
-    other = build_config({**config_to_dict(parse_config(path)), "seed": 5})
-    other_id = analysis.probe_fingerprint(build_probe(other, CKA_PROBE_SIZE))
-    assert other_id != manifest["probe_id"]
+def refused_cka(out, path, capsys):
+    """Run cka on a checkpoint whose probe it must refuse; returns stderr."""
     echo = (out / "config_echo.json").read_bytes()
-    assert main(["cka", "--config", path, "--seed", "5"]) == 2
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 1
     err = capsys.readouterr().err
-    assert manifest["probe_id"] in err and other_id in err
+    assert str(probe_file(out)) in err
     assert (out / "config_echo.json").read_bytes() == echo
     assert cka_outputs(out) == {}
+    return err
+
+
+def test_rerun_without_checkpoints_leaves_no_probe(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    assert probe_file(out).is_file()
+    cfg = json.loads(open(path).read())
+    cfg["save_checkpoints"] = False
+    path = write_config(tmp_path, cfg, "rerun.json")
+    assert main(["run", "--config", path]) == 0
+    assert os.listdir(out / "checkpoints") == []
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 1
+    assert "no checkpoints" in capsys.readouterr().err
+
+
+def test_cka_refuses_a_missing_probe_file(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    os.remove(probe_file(out))
+    err = refused_cka(out, path, capsys)
+    assert "FileNotFoundError" in err and "save_checkpoints=true" in err
+
+
+def test_cka_refuses_a_different_probe(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    other = tmp_path / "other"
+    other_cfg = json.loads(open(path).read())
+    other_cfg.update(seed=5, out_dir=str(other))
+    assert main(["run", "--config",
+                 write_config(tmp_path, other_cfg, "other.json")]) == 0
+    manifest = checkpoint.read_manifest(
+        checkpoint.round_dir(out / "checkpoints", 4))
+    other_id = checkpoint.read_manifest(
+        checkpoint.round_dir(other / "checkpoints", 4))["probe_id"]
+    assert other_id != manifest["probe_id"]
+    os.replace(probe_file(other), probe_file(out))
+    err = refused_cka(out, path, capsys)
+    assert "DataFormatError" in err
+    assert manifest["probe_id"] in err and other_id in err
 
 
 def test_cka_refuses_a_manifest_without_probe_id(tmp_path, capsys):
@@ -397,9 +479,8 @@ def test_cka_refuses_a_manifest_without_probe_id(tmp_path, capsys):
     probe_id = manifest.pop("probe_id")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
-    assert main(["cka", "--config", path]) == 2
-    assert probe_id in capsys.readouterr().err
-    assert cka_outputs(out) == {}
+    err = refused_cka(out, path, capsys)
+    assert "DataFormatError" in err and probe_id in err
 
 
 def test_cka_peak_memory_below_one_pool(tmp_path):

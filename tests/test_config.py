@@ -2,7 +2,6 @@
 
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from hypothesis import strategies as st
 
 from fednoisy import config as cfg_mod
 from fednoisy import data, server
-from fednoisy.config import (build_config, build_datasets, build_probe,
-                             config_to_dict, parse_config)
+from fednoisy.config import (build_config, build_datasets, config_to_dict,
+                             parse_config)
 from fednoisy.errors import ConfigError
-from tests_util import config_documents, write_idx_pair
+from tests_util import config_documents
 
 
 def write_config(tmp_path, payload):
@@ -170,55 +169,6 @@ def test_build_datasets_deterministic(tmp_path):
     t1, _ = build_datasets(cfg)
     t2, _ = build_datasets(cfg)
     assert np.array_equal(t1.features, t2.features)
-
-
-@pytest.mark.parametrize("size", [1, 41, 42, 43, 512])
-def test_build_probe_is_the_first_test_rows_synthetic(size):
-    # 145 rows over 4 classes round up to a 148-row pool
-    cfg = build_config({"dataset": {"classes": 4, "dims": 6, "spread": 0.7},
-                        "subset_size": 103, "test_size": 42, "seed": 3})
-    want = build_datasets(cfg)[1].features[:size]
-    assert build_probe(cfg, size).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("test_size", [0, 5, 30])
-@pytest.mark.parametrize("size", [1, 7, 512])
-def test_build_probe_is_the_first_test_rows_idx(tmp_path, test_size, size):
-    rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, size=(20, 3, 2)).astype(np.uint8)
-    img, lbl = write_idx_pair(tmp_path, images, bytes(range(20)))
-    cfg = build_config({"dataset": {"kind": "mnist", "images": str(img),
-                                    "labels": str(lbl), "test_images": str(img),
-                                    "test_labels": str(lbl)},
-                        "test_size": test_size})
-    want = build_datasets(cfg)[1].features[:size]
-    # the training pair is never opened
-    cfg.dataset.images = cfg.dataset.labels = str(tmp_path / "absent")
-    got = build_probe(cfg, size)
-    assert got.tobytes() == want.tobytes()
-    assert got.flags.owndata
-
-
-def test_build_probe_reads_only_the_probe_rows_of_an_idx_file(tmp_path):
-    # a 10000x784 test file is 7.8 MB of pixels and 62.7 MB as float64; the
-    # 512-row probe is 3.2 MB
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(10000, 28, 28), dtype=np.uint8)
-    img, lbl = write_idx_pair(tmp_path, images,
-                              rng.integers(0, 10, 10000, dtype=np.uint8))
-    cfg = build_config({"dataset": {"kind": "mnist", "images": "absent",
-                                    "labels": "absent", "test_images": str(img),
-                                    "test_labels": str(lbl)},
-                        "test_size": 0})
-    tracemalloc.start()
-    try:
-        probe = build_probe(cfg, 512)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-    want = images[:512].reshape(512, 784).astype(np.float64) / 255.0
-    assert probe.tobytes() == want.tobytes()
 
 
 def test_workers_resolution(tmp_path):

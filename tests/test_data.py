@@ -152,31 +152,6 @@ def test_synthetic_peak_memory_is_one_pool():
     assert peak < 1.2 * pool_bytes
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 9),
-       st.floats(-1e300, 1e300), st.integers(0, 2**64 - 1), st.data())
-def test_synthetic_rows_equal_pool_rows_bitwise(chunk, classes, per_class, dim,
-                                                spread, seed, data_):
-    n = classes * per_class
-    rows = np.array(data_.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                        max_size=2 * n)))
-    pool = data.make_synthetic(classes, per_class, dim, spread, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_SYNTH_CHUNK_ROWS", chunk)
-        got = data.synthetic_rows(classes, per_class, dim, spread, seed, rows)
-    assert got.features.tobytes() == pool.features[rows].tobytes()
-    assert np.array_equal(got.labels, pool.labels[rows])
-    assert got.num_classes == classes
-
-
-def test_synthetic_rows_reject_rows_outside_pool():
-    with pytest.raises(IndexError):
-        data.synthetic_rows(2, 3, 4, 1.0, 0, [6])
-    with pytest.raises(IndexError):
-        data.synthetic_rows(2, 3, 4, 1.0, 0, [-1])
-
-
 def test_synthetic_trainable_by_mlp():
     # spread 0.5 in 10 dims: a small MLP should fit it almost perfectly
     ds = data.make_synthetic(3, 100, 10, 0.5, seed=2)

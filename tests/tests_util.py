@@ -7,7 +7,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from fednoisy import data, nn
+from fednoisy import nn
 
 
 def flatten_params(params):
@@ -22,8 +22,9 @@ def flatten_params(params):
 def make_synthetic_reference(num_classes, per_class, dim, spread, seed):
     """``data.make_synthetic`` by its defining formula, out of place:
     (features, labels)."""
-    rng, centers, labels = data._synthetic_blobs(num_classes, per_class, dim,
-                                                 seed)
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
+    labels = np.repeat(np.arange(num_classes), per_class)
     features = centers[labels] + spread * rng.normal(size=(labels.size, dim))
     order = rng.permutation(labels.size)
     return features[order], labels[order]
