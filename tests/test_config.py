@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fednoisy import config as cfg_mod
-from fednoisy import data, server
+from fednoisy import checkpoint, cli, data, server
 from fednoisy.config import (build_config, build_datasets, config_to_dict,
                              parse_config)
 from fednoisy.errors import ConfigError
-from tests_util import config_documents
+from tests_util import config_documents, write_idx_pair
 
 
 def write_config(tmp_path, payload):
@@ -169,6 +169,55 @@ def test_build_datasets_deterministic(tmp_path):
     t1, _ = build_datasets(cfg)
     t2, _ = build_datasets(cfg)
     assert np.array_equal(t1.features, t2.features)
+
+
+def saved_probe(tmp_path, monkeypatch, document, size):
+    """Run ``document`` with checkpoints and a ``size``-row CKA probe;
+    returns the probe ``cka`` reads back."""
+    out = tmp_path / "out"
+    document = {**document, "hidden_dims": [4], "save_checkpoints": True,
+                "checkpoint_every": 1,
+                "client": {"local_epochs": 1, "batch_size": 8},
+                "server": {"aggregator": "fedavg", "rounds": 2,
+                           "num_clients": 2},
+                "out_dir": str(out)}
+    monkeypatch.setattr(cli, "CKA_PROBE_SIZE", size)
+    assert cli.main(["run", "--config",
+                     str(write_config(tmp_path, document))]) == 0
+    ckpt = out / "checkpoints"
+    manifests = [checkpoint.read_manifest(checkpoint.round_dir(ckpt, r))
+                 for r in (1, 2)]
+    assert manifests[0]["probe_id"] == manifests[1]["probe_id"]
+    return checkpoint.read_probe(ckpt, manifests[1])
+
+
+@pytest.mark.parametrize("size", [1, 41, 42, 43, 512])
+def test_build_probe_is_the_first_test_rows_synthetic(tmp_path, monkeypatch,
+                                                      size):
+    # 145 rows over 4 classes round up to a 148-row pool
+    document = {"dataset": {"classes": 4, "dims": 6, "spread": 0.7},
+                "subset_size": 103, "test_size": 42, "seed": 3}
+    want = build_datasets(build_config(document))[1].features[:size]
+    got = saved_probe(tmp_path, monkeypatch, document, size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("test_size", [0, 5, 30])
+@pytest.mark.parametrize("size", [1, 7, 512])
+def test_build_probe_is_the_first_test_rows_idx(tmp_path, monkeypatch,
+                                                test_size, size):
+    rng = np.random.default_rng(1)
+    images = rng.integers(0, 256, size=(20, 3, 2)).astype(np.uint8)
+    img, lbl = write_idx_pair(tmp_path, images, bytes(range(20)))
+    document = {"dataset": {"kind": "mnist", "images": str(img),
+                            "labels": str(lbl), "test_images": str(img),
+                            "test_labels": str(lbl)},
+                "test_size": test_size}
+    want = build_datasets(build_config(document))[1].features[:size]
+    got = saved_probe(tmp_path, monkeypatch, document, size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_workers_resolution(tmp_path):
