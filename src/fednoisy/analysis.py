@@ -286,46 +286,43 @@ def _f(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def metrics_header(fmt: str, n_layers: int) -> str:
+    """A metrics file's text before its first round: the CSV header, whose
+    ``w_l*`` columns need the model's layer count, or nothing for JSONL."""
+    if fmt not in (CSV_FORMAT, JSONL_FORMAT):
+        raise ValueError(f"unknown metrics format {fmt!r}")
+    columns = _FIXED_COLUMNS + [f"w_l{l}" for l in range(n_layers)]
+    return ",".join(columns) + "\n" if fmt == CSV_FORMAT else ""
+
+
+def format_round(m: RoundMetrics, fmt: str) -> str:
+    """One round's text in a format :func:`metrics_header` accepts: a CSV
+    row per client, or one JSONL record."""
+    if fmt == CSV_FORMAT:
+        return "".join(",".join([
+            str(m.round_idx), str(cid), _f(m.test_accuracy), _f(m.divergence[i]),
+            _f(m.reliability[i]), str(int(m.flagged[i])), str(int(m.corrected[i])),
+            str(m.n_relabeled[i]), *(_f(row[i]) for row in m.weights)]) + "\n"
+            for i, cid in enumerate(m.client_ids))
+    return json.dumps({
+        "round": m.round_idx,
+        "test_accuracy": float(_f(m.test_accuracy)),
+        "client_ids": m.client_ids,
+        "e": [float(_f(v)) for v in m.divergence],
+        "q": [float(_f(v)) for v in m.reliability],
+        "flagged": [bool(v) for v in m.flagged],
+        "corrected": [bool(v) for v in m.corrected],
+        "n_relabeled": [int(v) for v in m.n_relabeled],
+        "weights": [[float(_f(v)) for v in row] for row in m.weights],
+    }, separators=(",", ":")) + "\n"
+
+
 def write_metrics(metrics: list[RoundMetrics], path, fmt: str) -> None:
     """Persist metrics as CSV (one row per round x client) or JSONL (per round)."""
-    if fmt == CSV_FORMAT:
-        _write_csv(metrics, path)
-    elif fmt == JSONL_FORMAT:
-        _write_jsonl(metrics, path)
-    else:
-        raise ValueError(f"unknown metrics format {fmt!r}")
-
-
-def _write_csv(metrics: list[RoundMetrics], path) -> None:
-    n_layers = metrics[0].num_layers if metrics else 0
-    header = _FIXED_COLUMNS + [f"w_l{l}" for l in range(n_layers)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for m in metrics:
-            for i, cid in enumerate(m.client_ids):
-                row = [m.round_idx, cid, _f(m.test_accuracy), _f(m.divergence[i]),
-                       _f(m.reliability[i]), int(m.flagged[i]), int(m.corrected[i]),
-                       m.n_relabeled[i]]
-                row += [_f(m.weights[l][i]) for l in range(n_layers)]
-                writer.writerow(row)
-
-
-def _write_jsonl(metrics: list[RoundMetrics], path) -> None:
+    header = metrics_header(fmt, metrics[0].num_layers if metrics else 0)
     with open(path, "w") as fh:
-        for m in metrics:
-            record = {
-                "round": m.round_idx,
-                "test_accuracy": float(_f(m.test_accuracy)),
-                "client_ids": m.client_ids,
-                "e": [float(_f(v)) for v in m.divergence],
-                "q": [float(_f(v)) for v in m.reliability],
-                "flagged": [bool(v) for v in m.flagged],
-                "corrected": [bool(v) for v in m.corrected],
-                "n_relabeled": [int(v) for v in m.n_relabeled],
-                "weights": [[float(_f(v)) for v in row] for row in m.weights],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.write(header)
+        fh.writelines(format_round(m, fmt) for m in metrics)
 
 
 def read_metrics(path, fmt: str) -> list[RoundMetrics]:

@@ -35,9 +35,13 @@ EXIT_CONFIG = 2
 
 CKA_PROBE_SIZE = 512
 
+_METRIC_FORMATS = (analysis.CSV_FORMAT, analysis.JSONL_FORMAT)
+_ROUND_FILES = tuple(f"metrics.{fmt}" for fmt in _METRIC_FORMATS) + ("timings.log",)
 
-def _ensure_out_dir(cfg: ExperimentConfig) -> str:
+
+def _start_out_dir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_json(os.path.join(cfg.out_dir, "config_echo.json"), config_to_dict(cfg))
     return cfg.out_dir
 
 
@@ -54,23 +58,13 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return build_config({**config_to_dict(cfg), **overrides})
 
 
-def _build_experiment(cfg: ExperimentConfig, train, test,
-                      round_hook=None) -> Experiment:
-    return Experiment(
-        train, test, partition=cfg.partition, noise=cfg.noise,
-        client_config=cfg.client, server_config=cfg.server,
-        hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
-        workers=cfg.resolved_workers(), round_hook=round_hook)
-
-
 def _summarize(exp: Experiment, metrics) -> dict:
     if metrics:
         final_acc = metrics[-1].test_accuracy
         last10 = mean_last_accuracy(metrics, 10)
         per_round = [detection_precision_recall(flagged, exp.noise_rates)
                      for flagged in exp.history.flagged]
-        precision_mean = float(np.mean([p for p, _ in per_round]))
-        recall_mean = float(np.mean([r for _, r in per_round]))
+        precision_mean, recall_mean = (float(np.mean(v)) for v in zip(*per_round))
         precision_final, recall_final = per_round[-1]
     else:
         final_acc = last10 = analysis.evaluate_accuracy(exp.global_params,
@@ -91,24 +85,14 @@ def _summarize(exp: Experiment, metrics) -> dict:
     }
 
 
-def _write_run_outputs(cfg: ExperimentConfig, exp: Experiment, metrics,
-                       out_dir: str) -> None:
-    analysis.write_metrics(metrics, os.path.join(out_dir, "metrics.csv"), "csv")
-    analysis.write_metrics(metrics, os.path.join(out_dir, "metrics.jsonl"),
-                           "jsonl")
-    _write_json(os.path.join(out_dir, "summary.json"), _summarize(exp, metrics))
-    with open(os.path.join(out_dir, "timings.log"), "w") as fh:
-        for m in metrics:
-            fh.write(f"round {m.round_idx}: {m.wall_clock:.3f}s\n")
-
-
 def _clear_previous_run(out_dir: str) -> None:
-    """Remove the checkpoint rounds, CKA probe and CKA tables an earlier run
-    left in ``out_dir``, so that ``cka`` never reports on another run's
-    models."""
+    """Remove the run files, checkpoint rounds, CKA probe and CKA tables an
+    earlier run left in ``out_dir``, so that neither a failed run nor ``cka``
+    ever shows another run's files."""
     ckpt_base = os.path.join(out_dir, "checkpoints")
     stale = glob.glob(os.path.join(out_dir, "cka_layer_*.csv"))
-    stale.append(os.path.join(out_dir, "cka_mean_depth.csv"))
+    stale += [os.path.join(out_dir, name) for name in (
+        "cka_mean_depth.csv", "summary.json", *_ROUND_FILES)]
     stale.append(os.path.join(ckpt_base, checkpoint.PROBE_NAME))
     for path in stale:
         if os.path.isfile(path):
@@ -119,32 +103,61 @@ def _clear_previous_run(out_dir: str) -> None:
             shutil.rmtree(path)
 
 
+class RunWriter:
+    """Every file of one training run in ``out_dir``, written as it goes: each
+    round's lines, flushed, and every ``checkpoint_every``-th round beside the
+    CKA probe (the first test rows). Leaving the ``with`` block closes the files
+    and, after a clean run only, writes summary.json. It keeps no round's models."""
+
+    def __init__(self, cfg: ExperimentConfig, exp: Experiment, out_dir: str):
+        self.cfg, self.exp, self.out_dir = cfg, exp, out_dir
+        self.ckpt_dir = os.path.join(out_dir, "checkpoints")
+        if cfg.save_checkpoints:
+            self.probe_id = checkpoint.save_probe(
+                self.ckpt_dir, exp.test_set.features[:CKA_PROBE_SIZE])
+        self.files = {n: open(os.path.join(out_dir, n), "w") for n in _ROUND_FILES}
+        self.files["metrics.csv"].write(analysis.metrics_header(
+            analysis.CSV_FORMAT, exp.global_params.num_layers))
+
+    def write_round(self, metrics, updates, new_global) -> None:
+        texts = [analysis.format_round(metrics, fmt) for fmt in _METRIC_FORMATS]
+        texts.append(f"round {metrics.round_idx}: {metrics.wall_clock:.3f}s\n")
+        for fh, text in zip(self.files.values(), texts, strict=True):
+            fh.write(text)
+            fh.flush()
+        if (self.cfg.save_checkpoints
+                and metrics.round_idx % self.cfg.checkpoint_every == 0):
+            checkpoint.save_round(self.ckpt_dir, metrics.round_idx, new_global,
+                                  [u.params for u in updates],
+                                  self.exp.noise_rates, probe_id=self.probe_id)
+
+    def __enter__(self) -> "RunWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for fh in self.files.values():
+            fh.close()
+        if exc_type is None:
+            _write_json(os.path.join(self.out_dir, "summary.json"),
+                        _summarize(self.exp, self.exp.metrics))
+
+
 def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
-    """Train ``cfg``'s experiment and write its outputs to ``out_dir``. With
-    save_checkpoints, the CKA probe (the first test rows, which ``cka``
-    reads back) and every ``checkpoint_every``-th round go to
-    ``out_dir/checkpoints``."""
-    hook = None
-    if cfg.save_checkpoints:
-        ckpt_dir = os.path.join(out_dir, "checkpoints")
-        probe_id = checkpoint.save_probe(ckpt_dir,
-                                         test.features[:CKA_PROBE_SIZE])
-
-        def hook(round_idx, updates, new_global):
-            if round_idx % cfg.checkpoint_every == 0:
-                checkpoint.save_round(ckpt_dir, round_idx, new_global,
-                                      [u.params for u in updates],
-                                      exp.noise_rates, probe_id=probe_id)
-
-    exp = _build_experiment(cfg, train, test, round_hook=hook)
-    metrics = exp.run()
-    _write_run_outputs(cfg, exp, metrics, out_dir)
-    return metrics
+    """Train ``cfg``'s experiment into a RunWriter on ``out_dir``."""
+    exp = Experiment(
+        train, test, partition=cfg.partition, noise=cfg.noise,
+        client_config=cfg.client, server_config=cfg.server,
+        hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
+        workers=cfg.resolved_workers())
+    with RunWriter(cfg, exp, out_dir) as writer:
+        for round_idx in range(1, cfg.server.rounds + 1):
+            # straight into the writer: no round's client models outlive it
+            writer.write_round(*exp.run_round(round_idx))
+    return exp.metrics
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    out_dir = _ensure_out_dir(cfg)
-    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+    out_dir = _start_out_dir(cfg)
     _clear_previous_run(out_dir)
     train, test = build_datasets(cfg)
     metrics = _train_into(cfg, train, test, out_dir)
@@ -161,20 +174,19 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
         if name not in server.AGGREGATORS:
             raise ConfigError(
                 f"aggregator {name!r} must be one of {', '.join(server.AGGREGATORS)}")
-    out_dir = _ensure_out_dir(cfg)
-    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+        if aggregators.count(name) > 1:
+            raise ConfigError(f"aggregator {name!r} is listed more than once")
+    out_dir = _start_out_dir(cfg)
     train, test = build_datasets(cfg)
 
     columns: dict[str, list[float]] = {}
     for name in aggregators:
-        sub = dataclasses.replace(cfg.server, aggregator=name)
         # the proximal term defines FedProx; the other aggregators run without it
-        if name == server.FEDPROX:
-            mu = cfg.client.prox_mu or DEFAULT_FEDPROX_MU
-        else:
-            mu = 0.0
-        client_cfg = dataclasses.replace(cfg.client, prox_mu=mu)
-        run_cfg = dataclasses.replace(cfg, server=sub, client=client_cfg)
+        mu = (cfg.client.prox_mu or DEFAULT_FEDPROX_MU
+              if name == server.FEDPROX else 0.0)
+        run_cfg = dataclasses.replace(
+            cfg, server=dataclasses.replace(cfg.server, aggregator=name),
+            client=dataclasses.replace(cfg.client, prox_mu=mu))
         sub_dir = os.path.join(out_dir, name)
         os.makedirs(sub_dir, exist_ok=True)
         _clear_previous_run(sub_dir)
@@ -183,36 +195,30 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
         print(f"{name}: final accuracy "
               f"{columns[name][-1] if columns[name] else float('nan'):.4f}")
 
-    rounds = min(len(v) for v in columns.values())
     with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
         fh.write("round," + ",".join(aggregators) + "\n")
-        for r in range(rounds):
-            row = [str(r + 1)] + [_f(columns[a][r]) for a in aggregators]
-            fh.write(",".join(row) + "\n")
+        for r, accs in enumerate(zip(*columns.values()), 1):
+            fh.write(",".join([str(r), *map(_f, accs)]) + "\n")
     print(f"comparison written to {os.path.join(out_dir, 'comparison.csv')}")
     return EXIT_OK
 
 
 def cmd_noise_preview(cfg: ExperimentConfig) -> int:
-    out_dir = _ensure_out_dir(cfg)
-    _write_json(os.path.join(out_dir, "config_echo.json"), config_to_dict(cfg))
+    out_dir = _start_out_dir(cfg)
     train, _ = build_datasets(cfg)
     assignments = data.make_partitions(train, cfg.partition,
                                        cfg.server.num_clients, cfg.seed)
     rates = data.sample_client_noise_rates(cfg.noise, cfg.server.num_clients,
                                            (cfg.seed, 1))
-    rows = []
     print(f"{'client':>6} {'samples':>8} {'rate':>8} {'realized':>9}")
-    for a, rate in zip(assignments, rates):
-        noisy = data.apply_symmetric_noise(a, float(rate), train.num_classes,
-                                           (cfg.seed, 2, a.client_id))
-        realized = float((noisy.noisy_labels != noisy.true_labels).mean())
-        rows.append((a.client_id, len(a), float(rate), realized))
-        print(f"{a.client_id:>6} {len(a):>8} {rate:>8.4f} {realized:>9.4f}")
     with open(os.path.join(out_dir, "noise_profile.csv"), "w") as fh:
         fh.write("client_id,n_samples,rate,realized_flip_fraction\n")
-        for cid, n, rate, realized in rows:
-            fh.write(f"{cid},{n},{_f(rate)},{_f(realized)}\n")
+        for a, rate in zip(assignments, rates):
+            noisy = data.apply_symmetric_noise(a, float(rate), train.num_classes,
+                                               (cfg.seed, 2, a.client_id))
+            realized = float((noisy.noisy_labels != noisy.true_labels).mean())
+            print(f"{a.client_id:>6} {len(a):>8} {rate:>8.4f} {realized:>9.4f}")
+            fh.write(f"{a.client_id},{len(a)},{_f(rate)},{_f(realized)}\n")
     return EXIT_OK
 
 

@@ -279,12 +279,11 @@ class Experiment:
     def __init__(self, dataset: LabeledDataset, test_set: LabeledDataset, *,
                  partition: PartitionSpec, noise: NoiseSpec,
                  client_config: ClientConfig, server_config: ServerConfig,
-                 hidden_dims, seed: int, workers: int, round_hook=None):
+                 hidden_dims, seed: int, workers: int):
         if server_config.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {server_config.aggregator!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.round_hook = round_hook  # called with (round_idx, updates, new_global)
         self.dataset = dataset
         self.test_set = test_set
         self.client_config = client_config
@@ -365,8 +364,9 @@ class Experiment:
                 self.client_config.train_on)
         return self.s_corr, relabeled
 
-    def run_round(self, round_idx: int) -> tuple[nn.ModelParams, RoundMetrics]:
-        """One full round: train, score, detect, aggregate, maybe correct."""
+    def run_round(self, round_idx: int) -> tuple[RoundMetrics, list, nn.ModelParams]:
+        """One full round: train, score, detect, aggregate, maybe correct.
+        Returns the round's metrics, client updates and new global model."""
         t0 = time.perf_counter()
         cfg = self.config
         updates = self._train_clients(round_idx)
@@ -382,9 +382,6 @@ class Experiment:
         if cfg.aggregator == FED_NCL and round_idx == cfg.t_corr:
             corrected_ids, relabeled = self._correct_labels(new_global)
 
-        if self.round_hook is not None:
-            self.round_hook(round_idx, updates, new_global)
-
         metrics = RoundMetrics(
             round_idx=round_idx,
             test_accuracy=evaluate_accuracy(new_global, self.test_set),
@@ -398,7 +395,7 @@ class Experiment:
             wall_clock=time.perf_counter() - t0)
         self.global_params = new_global
         self.metrics.append(metrics)
-        return new_global, metrics
+        return metrics, updates, new_global
 
     def run(self) -> list[RoundMetrics]:
         for round_idx in range(1, self.config.rounds + 1):

@@ -280,11 +280,10 @@ def test_criterion_5_cka_depth_trend():
         exp = desk_experiment("fedavg", seed, rounds=30,
                               noise=NoiseSpec(mode=data.FIXED, rates=rates),
                               num_clients=10, hidden=(64, 32, 16))
-        final_updates = {}
-        exp.round_hook = (lambda r, ups, g:
-                          final_updates.update({"u": ups}) if r == 30 else None)
-        exp.run()
-        client_models = [u.params for u in final_updates["u"]]
+        for r in range(1, 30):
+            exp.run_round(r)
+        _, final_updates, _ = exp.run_round(30)
+        client_models = [u.params for u in final_updates]
         probe = exp.test_set.features[:512]
         rep = analysis.cka_layer_report(client_models, exp.global_params,
                                         probe, [5, 6, 7, 8, 9])

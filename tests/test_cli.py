@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import fednoisy
-from fednoisy import analysis, checkpoint, cli
+from fednoisy import analysis, checkpoint, cli, server
 from fednoisy.cli import CKA_PROBE_SIZE, main
 from fednoisy.config import build_datasets, parse_config
+from fednoisy.errors import NumericError
 from tests_util import write_idx_pair
 
 
@@ -124,6 +126,72 @@ def test_run_outputs_stay_in_out_dir(tmp_path):
     assert after - before == {"only_here"}
 
 
+def streamed_config(out, rounds):
+    return base_config(out, save_checkpoints=True, checkpoint_every=1,
+                       noise={"mode": "fixed", "rates": [0.0, 0.0, 0.5, 0.5]},
+                       server={"aggregator": "fed_ncl", "rounds": rounds,
+                               "t_corr": 2})
+
+
+def test_failed_run_keeps_every_finished_round(tmp_path, monkeypatch, capsys):
+    full, failed = tmp_path / "full", tmp_path / "failed"
+    assert main(["run", "--config",
+                 write_config(tmp_path, streamed_config(full, 5))]) == 0
+    real = server.local_train
+
+    def breaks_in_round_3(*args):
+        if args[4] == 3:  # local_train's round_idx
+            raise NumericError("injected in round 3")
+        return real(*args)
+
+    monkeypatch.setattr(server, "local_train", breaks_in_round_3)
+    capsys.readouterr()
+    path = write_config(tmp_path, streamed_config(failed, 5), "failed.json")
+    assert main(["run", "--config", path]) == 1
+    assert "NumericError: injected in round 3" in capsys.readouterr().err
+
+    rows = list(csv.DictReader(
+        (failed / "metrics.csv").read_text().splitlines()))
+    assert [int(r["round"]) for r in rows] == [1] * 4 + [2] * 4
+    records = analysis.read_metrics(failed / "metrics.jsonl", "jsonl")
+    assert [m.round_idx for m in records] == [1, 2]
+    timings = (failed / "timings.log").read_text().splitlines()
+    assert [line.split(":")[0] for line in timings] == ["round 1", "round 2"]
+    # the finished rounds' bytes are the uninterrupted run's first rounds
+    for name, lines in (("metrics.csv", 1 + 2 * 4), ("metrics.jsonl", 2)):
+        want = (full / name).read_bytes().splitlines(keepends=True)[:lines]
+        assert (failed / name).read_bytes() == b"".join(want)
+    assert checkpoint.available_rounds(failed / "checkpoints") == [1, 2]
+    for r in (1, 2):
+        checkpoint.read_manifest(checkpoint.round_dir(failed / "checkpoints", r))
+    assert not (failed / "summary.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_client_model_outlives_its_round(tmp_path, monkeypatch, workers):
+    # round r's client models must be freed before round r+1 trains, so a
+    # run holds one round's models at a time
+    real = server.local_train
+    models: dict[int, list] = {}
+    alive_at_start = []
+
+    def tracked(*args):
+        round_idx = args[4]
+        alive_at_start.extend((r, round_idx) for r, refs in models.items()
+                              if r < round_idx and any(ref() for ref in refs))
+        updates = real(*args)
+        models.setdefault(round_idx, []).extend(
+            weakref.ref(u.params) for u in updates)
+        return updates
+
+    monkeypatch.setattr(server, "local_train", tracked)
+    path = write_config(tmp_path, streamed_config(tmp_path / "o", 4))
+    assert main(["run", "--config", path, "--workers", str(workers)]) == 0
+    assert sorted(models) == [1, 2, 3, 4]
+    assert sum(map(len, models.values())) == 4 * 4
+    assert alive_at_start == []
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_writes_wide_csv(tmp_path):
@@ -188,6 +256,17 @@ def test_compare_requires_two_aggregators(tmp_path):
     assert main(["compare", "--config", path, "--aggregators", "fedavg"]) == 2
     assert main(["compare", "--config", path,
                  "--aggregators", "fedavg,krum"]) == 2
+
+
+def test_compare_rejects_a_repeated_aggregator(tmp_path, capsys):
+    out = tmp_path / "dup"
+    path = write_config(tmp_path, base_config(out))
+    assert main(["compare", "--config", path,
+                 "--aggregators", "fedavg,fed_ncl,fedavg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'fedavg'" in err
+    assert "more than once" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ noise-preview

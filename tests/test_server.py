@@ -401,7 +401,7 @@ def test_single_client_round_returns_client_params(aggregator):
     from fednoisy.client import local_train
     expected = local_train(exp.global_params, exp.assignments[0], exp.dataset,
                            exp.client_config, 1, exp.seed)
-    new_global, _ = exp.run_round(1)
+    _, _, new_global = exp.run_round(1)
     for l in range(new_global.num_layers):
         assert np.allclose(new_global.weights[l], expected.params.weights[l],
                            rtol=1e-12)
