@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, checkpoint, data, server
+from . import __version__, analysis, checkpoint, data, nn, server
 from .analysis import _f, mean_last_accuracy
 from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_config,
                      build_datasets, config_to_dict, parse_config)
@@ -34,6 +34,10 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 CKA_PROBE_SIZE = 512
+# cka writes nothing that training reads, and _layer_cka's (8d x 512) @
+# (512 x d) GEMMs run ~1.5x faster on two threads (d=64, 101 models: 476 ms
+# against 731 ms on one). A fixed count keeps its tables host-independent.
+CKA_BLAS_THREADS = 2
 
 _METRIC_FORMATS = (analysis.CSV_FORMAT, analysis.JSONL_FORMAT)
 _ROUND_FILES = tuple(f"metrics.{fmt}" for fmt in _METRIC_FORMATS) + ("timings.log",)
@@ -177,6 +181,10 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
         if aggregators.count(name) > 1:
             raise ConfigError(f"aggregator {name!r} is listed more than once")
     out_dir = _start_out_dir(cfg)
+    # an earlier compare's table must not outlive a compare that fails
+    table = os.path.join(out_dir, "comparison.csv")
+    if os.path.isfile(table):
+        os.remove(table)
     train, test = build_datasets(cfg)
 
     columns: dict[str, list[float]] = {}
@@ -195,11 +203,11 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
         print(f"{name}: final accuracy "
               f"{columns[name][-1] if columns[name] else float('nan'):.4f}")
 
-    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
+    with open(table, "w") as fh:
         fh.write("round," + ",".join(aggregators) + "\n")
         for r, accs in enumerate(zip(*columns.values()), 1):
             fh.write(",".join([str(r), *map(_f, accs)]) + "\n")
-    print(f"comparison written to {os.path.join(out_dir, 'comparison.csv')}")
+    print(f"comparison written to {table}")
     return EXIT_OK
 
 
@@ -223,6 +231,14 @@ def cmd_noise_preview(cfg: ExperimentConfig) -> int:
 
 
 def cmd_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
+    nn.pin_blas_threads(CKA_BLAS_THREADS)
+    try:
+        return _write_cka(cfg, round_idx)
+    finally:
+        nn.pin_blas_threads(nn.BLAS_THREADS)
+
+
+def _write_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
     ckpt_base = os.path.join(cfg.out_dir, "checkpoints")
     rounds = checkpoint.available_rounds(ckpt_base)
     if not rounds:

@@ -14,15 +14,46 @@ call per slice with that slice's own shapes, and every reduction runs over
 the same axis and length, so each slice gets the bits of its own 2-D call.
 Unstacked params run every slice of a stacked batch (the received model of
 a cohort's first step).
+
+Importing this module pins numpy's OpenBLAS to :data:`BLAS_THREADS`.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
+
+# A GEMM's bits depend on how many threads split it, and OpenBLAS's default
+# count follows the host's cores. One fixed thread makes every model bit
+# independent of the host and of ``workers``, and leaves the cores to the
+# training pool instead of oversubscribing them.
+BLAS_THREADS = 1
+_BLAS_SETTER = "scipy_openblas_set_num_threads64_"
+
+
+def pin_blas_threads(n: int) -> None:
+    """Set numpy's bundled OpenBLAS to ``n`` threads, for the whole process.
+
+    Raises RuntimeError naming numpy's BLAS when that BLAS exports no such
+    setter: fednoisy does not run on an unpinned BLAS.
+    """
+    try:
+        # the extension's handle resolves symbols of the BLAS it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        setter = getattr(lib, _BLAS_SETTER)
+    except (AttributeError, OSError) as err:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        raise RuntimeError(
+            f"numpy's BLAS ({blas.get('name')} {blas.get('version')}) exports "
+            f"no {_BLAS_SETTER}, so fednoisy cannot pin its thread count") from err
+    setter(n)
+
+
+pin_blas_threads(BLAS_THREADS)
 
 RELU = "relu"
 IDENTITY = "identity"

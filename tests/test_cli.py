@@ -1,6 +1,8 @@
 """End-to-end tests for the fednoisy CLI subcommands."""
 
 import csv
+import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +14,11 @@ import numpy as np
 import pytest
 
 import fednoisy
-from fednoisy import analysis, checkpoint, cli, server
-from fednoisy.cli import CKA_PROBE_SIZE, main
+from fednoisy import analysis, checkpoint, cli, nn, server
+from fednoisy.cli import CKA_BLAS_THREADS, CKA_PROBE_SIZE, main
 from fednoisy.config import build_datasets, parse_config
 from fednoisy.errors import NumericError
-from tests_util import write_idx_pair
+from tests_util import blas_threads, write_idx_pair
 
 
 def base_config(out_dir, **overrides):
@@ -251,6 +253,27 @@ def test_compare_saves_checkpoints_per_aggregator(tmp_path, capsys):
         assert cka_outputs(out / name) == {}
 
 
+def test_failed_compare_leaves_no_earlier_table(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cmp4"
+    path = write_config(tmp_path, base_config(out, server={"rounds": 2}))
+    assert main(["compare", "--config", path,
+                 "--aggregators", "fedavg,fed_ncl"]) == 0
+    assert (out / "comparison.csv").is_file()
+    real = server.local_train
+
+    def fails_in_fedprox(*args):
+        if args[3].prox_mu > 0:  # local_train's client config
+            raise NumericError("injected in fedprox")
+        return real(*args)
+
+    monkeypatch.setattr(server, "local_train", fails_in_fedprox)
+    capsys.readouterr()
+    assert main(["compare", "--config", path, "--seed", "9",
+                 "--aggregators", "fedavg,fedprox"]) == 1
+    assert "NumericError: injected in fedprox" in capsys.readouterr().err
+    assert not (out / "comparison.csv").exists()
+
+
 def test_compare_requires_two_aggregators(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "x"))
     assert main(["compare", "--config", path, "--aggregators", "fedavg"]) == 2
@@ -409,6 +432,30 @@ def test_identical_checkpoints_give_unit_matrices(tmp_path):
     rows = list(csv.reader(open(out / "cka_layer_0.csv")))
     mat = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     assert np.allclose(mat, 1.0, atol=1e-6)
+
+
+def test_cka_runs_on_its_blas_threads_and_restores_the_pin(tmp_path,
+                                                          monkeypatch):
+    out, path = cka_run(tmp_path)
+    real = analysis.cka_layer_report
+    seen = []
+
+    def recording(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "cka_layer_report", recording)
+    assert main(["cka", "--config", path]) == 0
+    assert seen == [CKA_BLAS_THREADS] == [2]
+    assert blas_threads() == nn.BLAS_THREADS
+
+
+def test_cka_restores_the_blas_pin_when_it_fails(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    os.remove(probe_file(out))
+    assert main(["cka", "--config", path]) == 1
+    assert "FileNotFoundError" in capsys.readouterr().err
+    assert blas_threads() == nn.BLAS_THREADS
 
 
 def idx_dataset(tmp_path):
@@ -669,3 +716,47 @@ def test_bernoulli_run_does_not_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_outputs_do_not_depend_on_inherited_blas_threads(tmp_path):
+    # OpenBLAS splits the first layer's (20, 784) @ (784, 64) GEMMs over its
+    # threads, which changes their bits unless the count is pinned
+    cfg = streamed_config(tmp_path / "unused", 2)
+    cfg.update(dataset={"kind": "synthetic", "classes": 3, "dims": 784,
+                        "spread": 2.0}, hidden_dims=[64], checkpoint_every=2)
+    cfg["client"]["batch_size"] = 20
+    path = write_config(tmp_path, cfg)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fednoisy.__file__)))
+    code = ("import sys\n"
+            "from fednoisy.cli import main\n"
+            "for command in ('run', 'cka'):\n"
+            "    assert main([command, *sys.argv[1:]]) == 0\n")
+    outs = []
+    for blas, workers in itertools.product("12", "12"):
+        out = tmp_path / f"blas{blas}_workers{workers}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas)
+        done = subprocess.run(
+            [sys.executable, "-c", code, "--config", path, "--out", str(out),
+             "--workers", workers],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+
+    def files(out):
+        return sorted(os.path.relpath(os.path.join(d, n), out)
+                      for d, _, names in os.walk(out) for n in names)
+
+    def echo(out):
+        doc = json.loads((out / "config_echo.json").read_text())
+        return {k: v for k, v in doc.items() if k not in ("out_dir", "workers")}
+
+    names = files(outs[0])
+    assert {"checkpoints/round_0002/global.bin", "cka_layer_0.csv",
+            "metrics.csv"} <= set(names)
+    same = [n for n in names if n not in ("timings.log", "config_echo.json")]
+    for out in outs[1:]:
+        assert files(out) == names
+        _, mismatch, errors = filecmp.cmpfiles(outs[0], out, same,
+                                               shallow=False)
+        assert mismatch == errors == [], out.name
+        assert echo(out) == echo(outs[0])

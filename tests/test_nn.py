@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from fednoisy import nn
 from fednoisy.errors import NumericError, ShapeError
-from tests_util import model_stacks
+from tests_util import blas_threads, model_stacks
 
 
 def small_net(seed=0, sizes=(2, 3, 2)):
@@ -63,6 +63,19 @@ def numerical_grad(params, x, y, step=1e-5):
                 g[idx] = (up - down) / (2 * step)
             grads.append(g)
     return grads
+
+
+# ------------------------------------------------------------ BLAS threads
+
+def test_import_pins_the_blas_threads():
+    assert blas_threads() == nn.BLAS_THREADS == 1
+
+
+def test_pin_refuses_a_blas_without_the_setter(monkeypatch):
+    monkeypatch.setattr(nn, "_BLAS_SETTER", "no_such_setter")
+    with pytest.raises(RuntimeError, match="numpy's BLAS .scipy-openblas"):
+        nn.pin_blas_threads(2)
+    assert blas_threads() == 1
 
 
 # ------------------------------------------------------------ init_params

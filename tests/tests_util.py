@@ -1,5 +1,6 @@
 """Shared helpers for the test suite (oracles and tiny builders)."""
 
+import ctypes
 import gzip
 import math
 import struct
@@ -8,6 +9,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from fednoisy import nn
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, read through its exported getter."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    return lib.scipy_openblas_get_num_threads64_()
 
 
 def flatten_params(params):
