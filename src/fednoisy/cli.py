@@ -13,7 +13,6 @@ count; per-round timings go to a separate timings.log.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import json
 import os
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import __version__, analysis, checkpoint, data, nn, server
 from .analysis import _f, mean_last_accuracy
-from .config import (DEFAULT_FEDPROX_MU, ExperimentConfig, build_config,
-                     build_datasets, config_to_dict, parse_config)
+from .config import (ExperimentConfig, build_config, build_datasets,
+                     config_to_dict, parse_config)
 from .errors import ConfigError
 from .server import Experiment, detection_precision_recall
 
@@ -189,12 +188,13 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
 
     columns: dict[str, list[float]] = {}
     for name in aggregators:
-        # the proximal term defines FedProx; the other aggregators run without it
-        mu = (cfg.client.prox_mu or DEFAULT_FEDPROX_MU
-              if name == server.FEDPROX else 0.0)
-        run_cfg = dataclasses.replace(
-            cfg, server=dataclasses.replace(cfg.server, aggregator=name),
-            client=dataclasses.replace(cfg.client, prox_mu=mu))
+        # the proximal term defines FedProx; the other aggregators run
+        # without it, and build_config fills FedProx's default mu
+        document = config_to_dict(cfg)
+        document["server"]["aggregator"] = name
+        if name != server.FEDPROX:
+            document["client"]["prox_mu"] = 0.0
+        run_cfg = build_config(document)
         sub_dir = os.path.join(out_dir, name)
         os.makedirs(sub_dir, exist_ok=True)
         _clear_previous_run(sub_dir)

@@ -199,8 +199,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(0 <= sv.eta <= 1, "server.eta", "must be in [0, 1]")
     _require(sv.rounds >= 0, "server.rounds", "must be >= 0")
     _require(sv.num_clients >= 1, "server.num_clients", "must be >= 1")
-    _require(sv.penalty_mode in (server.PENALTY_DIVISOR, server.PENALTY_LITERAL),
-             "server.penalty_mode", "must be 'divisor' or 'literal'")
 
     _require(all(h >= 1 for h in cfg.hidden_dims), "hidden_dims",
              "every hidden width must be >= 1")
@@ -231,10 +229,14 @@ def build_config(document: dict) -> ExperimentConfig:
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as err:  # a directory, say
+        raise ConfigError(f"config file {path} cannot be read: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     return build_config(document)

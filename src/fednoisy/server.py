@@ -7,8 +7,7 @@ penalizes flagged clients, and after a warm-up horizon the persistently
 flagged clients get their labels corrected by the global model.
 
 The penalty enters as a divisor on a client's base score (w ∝ N/(m·d)), so a
-flagged client's influence shrinks by up to the cap; ``penalty_mode`` can be
-switched to the multiplicative form for comparison.
+flagged client's influence shrinks by up to the cap.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ FEDPROX = "fedprox"
 FED_NCL = "fed_ncl"
 AGGREGATORS = (FEDAVG, TRIMMED_MEAN, FEDPROX, FED_NCL)
 
-PENALTY_DIVISOR = "divisor"
-PENALTY_LITERAL = "literal"
-
 ROW_SUM_TOL = 1e-9
 
 # most clients one local_train call trains in lockstep. Measured per round
@@ -62,8 +58,6 @@ class ServerConfig:
     eta: float = 0.8           # relabeling confidence threshold
     rounds: int = 150
     num_clients: int = 20
-    penalty_mode: str = PENALTY_DIVISOR
-    unweighted: bool = False   # 1/C averaging instead of size-weighted
 
 
 @dataclass
@@ -211,10 +205,9 @@ def layerwise_weights(updates: list[ClientUpdate],
                       round_idx: int, config: ServerConfig,
                       layer_divergence: np.ndarray | None = None) -> np.ndarray:
     """L x C weight matrix: per layer, normalize N^c scores discounted by the
-    layer distance d = 1 + ||theta_l^G - theta_l^c||^2 and the penalty.
+    layer distance d = 1 + ||theta_l^G - theta_l^c||^2 and the penalty m,
+    w ∝ N/(m·d), so flagged clients shrink.
 
-    ``divisor`` mode computes w ∝ N/(m·d) so flagged clients shrink;
-    ``literal`` mode computes w ∝ m·N/d (the multiplicative reading).
     ``layer_divergence`` is the (L, C) matrix of squared layer distances to
     ``global_params`` that ``reliability_scores`` records; it is computed
     when omitted.
@@ -229,17 +222,8 @@ def layerwise_weights(updates: list[ClientUpdate],
         weight_divergence(global_params, [u.params for u in updates],
                           layer_divergence)
     d = 1.0 + layer_divergence
-    w = np.zeros((n_layers, len(updates)))
-    for l in range(n_layers):
-        base = sizes / d[l]
-        if config.penalty_mode == PENALTY_DIVISOR:
-            score = base / penalties
-        elif config.penalty_mode == PENALTY_LITERAL:
-            score = base * penalties
-        else:
-            raise ValueError(f"unknown penalty mode {config.penalty_mode!r}")
-        w[l] = score / score.sum()
-    return w
+    score = sizes / d / penalties
+    return score / score.sum(axis=1, keepdims=True)
 
 
 def aggregate_layerwise(updates: list[ClientUpdate],
@@ -345,9 +329,8 @@ class Experiment:
                                   round_idx, cfg, scores.layer_divergence)
             return aggregate_layerwise(updates, w), w
         if cfg.aggregator in (FEDAVG, FEDPROX):
-            row = fedavg_weights(updates, cfg.unweighted)
-            return aggregate_fedavg(updates, cfg.unweighted), \
-                np.tile(row, (n_layers, 1))
+            row = fedavg_weights(updates, unweighted=False)
+            return aggregate_fedavg(updates), np.tile(row, (n_layers, 1))
         # trimmed mean has no per-client weights; record the nominal 1/C rows
         row = np.full(len(updates), 1.0 / len(updates))
         return aggregate_trimmed_mean(updates, cfg.trim_pct), \

@@ -57,17 +57,27 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(write_config(tmp_path, {"frobnicate": 1}))
     with pytest.raises(ConfigError, match="server.frob"):
         parse_config(write_config(tmp_path, {"server": {"frob": 1}}))
+    # readings that were measured and removed
+    for key, value in (("penalty_mode", "divisor"), ("unweighted", False)):
+        with pytest.raises(ConfigError, match=f"unknown key server.{key}"):
+            parse_config(write_config(tmp_path, {"server": {key: value}}))
 
 
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.json")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(tmp_path))} cannot "
+                                          "be read"):
+        parse_config(tmp_path)  # a directory
 
 
 def test_malformed_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
+        parse_config(path)
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not UTF-8"):
         parse_config(path)
 
 
@@ -93,7 +103,7 @@ def test_echo_is_exhaustive(tmp_path):
                          "workers"}
     assert set(echo["server"]) == {
         "aggregator", "trim_pct", "beta", "tau", "t_k", "alpha", "t_corr",
-        "eta", "rounds", "num_clients", "penalty_mode", "unweighted"}
+        "eta", "rounds", "num_clients"}
 
 
 def test_fedprox_gets_default_mu(tmp_path):
@@ -123,7 +133,7 @@ def test_fixed_rates_must_match_client_count(tmp_path):
     ("server", "trim_pct", 50), ("server", "alpha", 1.0),
     ("server", "tau", 0.5), ("server", "t_corr", 0),
     ("server", "eta", 1.5), ("server", "aggregator", "krum"),
-    ("server", "penalty_mode", "inverse"),
+    ("server", "beta", 0),
     ("noise", "clean_prob", 0), ("noise", "clean_prob", 1.2),
     ("noise", "std", 0), ("noise", "low", 1.0),  # low >= high
     ("partition", "kind", "triangular"), ("partition", "p_class", 0),
@@ -250,8 +260,8 @@ def test_wrong_container_types_name_the_key(payload, key):
 @pytest.mark.parametrize("payload,key", [
     ({"save_checkpoints": "false"}, "save_checkpoints"),
     ({"save_checkpoints": 1}, "save_checkpoints"),
-    ({"server": {"unweighted": "no"}}, "server.unweighted"),
-    ({"server": {"unweighted": 0}}, "server.unweighted"),
+    ({"save_checkpoints": "no"}, "save_checkpoints"),
+    ({"save_checkpoints": 0}, "save_checkpoints"),
     ({"dataset": {"images": 3}}, "dataset.images"),
     ({"dataset": {"kind": ["synthetic"]}}, "dataset.kind"),
     ({"client": {"h_on": None}}, "client.h_on"),

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fednoisy import data, nn, server
-from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig, ClientUpdate
+from fednoisy.client import (H_ON_LOCAL, TRAIN_RELABELED_ONLY, ClientConfig,
+                             ClientUpdate)
 from fednoisy.data import NoiseSpec, PartitionSpec
 from fednoisy.server import (ROW_SUM_TOL, DetectionHistory, ReliabilityScores,
                              ServerConfig,
@@ -278,14 +279,6 @@ def test_layerwise_divisor_penalty_ratio():
         assert w[l, 1] / w[l, 0] == pytest.approx(1 / 50, rel=1e-12)
 
 
-def test_layerwise_literal_penalty_amplifies():
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 3)
-    updates = identical_updates(g, 2)
-    cfg = ServerConfig(tau=50.0, t_k=10, penalty_mode=server.PENALTY_LITERAL)
-    w = layerwise_weights(updates, g, {1}, 10, cfg)
-    assert w[0, 1] / w[0, 0] == pytest.approx(50.0, rel=1e-12)
-
-
 def test_layerwise_flagging_strictly_decreases_weight():
     rng = np.random.default_rng(3)
     g = nn.init_params(nn.mlp_specs([3, 4, 2]), 4)
@@ -372,7 +365,7 @@ def test_conservation_under_identical_inputs():
 # ---------------------------------------------------------------- experiment
 
 def tiny_experiment(aggregator, *, rounds=3, clients=4, seed=0, noise=None,
-                    workers=1, **server_kw):
+                    workers=1, client_kw=None, **server_kw):
     ds = data.make_synthetic(3, 40, 6, 0.6, seed=100)
     test = data.make_synthetic(3, 20, 6, 0.6, seed=101)
     cfg = ServerConfig(aggregator=aggregator, rounds=rounds,
@@ -382,7 +375,8 @@ def tiny_experiment(aggregator, *, rounds=3, clients=4, seed=0, noise=None,
         ds, test,
         partition=PartitionSpec(kind=data.IID),
         noise=noise or NoiseSpec(mode=data.FIXED, rates=[0.0] * clients),
-        client_config=ClientConfig(lr=0.05, local_epochs=2, batch_size=16),
+        client_config=ClientConfig(lr=0.05, local_epochs=2, batch_size=16,
+                                   **(client_kw or {})),
         server_config=cfg, hidden_dims=(8,), seed=seed, workers=workers)
 
 
@@ -417,10 +411,17 @@ def test_metric_stream_deterministic(aggregator):
         assert m1 == m2  # wall_clock excluded from dataclass comparison
 
 
-def test_worker_count_does_not_change_results():
-    m1 = tiny_experiment(server.FED_NCL, rounds=2, seed=3, workers=1).run()
-    m2 = tiny_experiment(server.FED_NCL, rounds=2, seed=3, workers=3).run()
+@pytest.mark.parametrize("aggregator, client_kw", [
+    *((name, {}) for name in server.AGGREGATORS),
+    (server.FED_NCL, {"h_on": H_ON_LOCAL})],
+    ids=[*server.AGGREGATORS, "fed_ncl-h_on_local"])
+def test_worker_count_does_not_change_results(aggregator, client_kw):
+    exps = [tiny_experiment(aggregator, rounds=2, seed=3, workers=w,
+                            client_kw=client_kw) for w in (1, 3)]
+    m1, m2 = (exp.run() for exp in exps)
     assert m1 == m2
+    assert exps[0].global_params.flat.tobytes() == \
+        exps[1].global_params.flat.tobytes()
 
 
 def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
@@ -695,16 +696,14 @@ def test_aggregate_layerwise_equals_block_loop_bitwise(models, data_):
 
 def draw_weighting(models, data_):
     """Updates over ``models`` (random sizes and h), a flagged subset, a
-    round and a server config."""
+    round and the default server config."""
     c = len(models)
     sizes = data_.draw(st.lists(st.integers(1, 50), min_size=c, max_size=c))
     h = data_.draw(st.lists(st.floats(1e-3, 100.0), min_size=c, max_size=c))
     updates = [ClientUpdate(i, m, hi, n, 1)
                for i, (m, n, hi) in enumerate(zip(models, sizes, h))]
     flagged = data_.draw(st.sets(st.integers(0, c - 1)))
-    cfg = ServerConfig(penalty_mode=data_.draw(st.sampled_from(
-        [server.PENALTY_DIVISOR, server.PENALTY_LITERAL])))
-    return updates, flagged, data_.draw(st.integers(1, 30)), cfg
+    return updates, flagged, data_.draw(st.integers(1, 30)), ServerConfig()
 
 
 @settings(max_examples=40, deadline=None)
@@ -720,8 +719,7 @@ def test_layerwise_weights_equal_per_layer_distance_loop_bitwise(models, data_):
     want = np.zeros((g.num_layers, len(updates)))
     for l in range(g.num_layers):
         d = np.array([1.0 + v for v in dist[l]])
-        score = sizes / d / m if cfg.penalty_mode == server.PENALTY_DIVISOR \
-            else sizes / d * m
+        score = sizes / d / m
         want[l] = score / score.sum()
     got = layerwise_weights(updates, g, flagged, rnd, cfg)
     assert np.array_equal(got, want)

@@ -108,9 +108,7 @@ def config_documents(draw, full=False):
         "alpha": st.floats(0, 1, exclude_min=True, exclude_max=True),
         "t_corr": st.integers(1, 300),
         "eta": st.floats(0, 1) | st.integers(0, 1),
-        "rounds": st.integers(0, 300), "num_clients": st.integers(1, 30),
-        "penalty_mode": st.sampled_from(["divisor", "literal"]),
-        "unweighted": st.booleans()})
+        "rounds": st.integers(0, 300), "num_clients": st.integers(1, 30)})
     n_clients = server.get("num_clients", 20)
     mode = draw(st.sampled_from(["bernoulli", "trunc_gauss", "fixed"]))
     rate = st.floats(0, 1) | st.integers(0, 1)
