@@ -12,5 +12,5 @@ from . import analysis, checkpoint, client, config, data, nn, server  # noqa: F4
 from .client import ClientConfig, ClientUpdate  # noqa: F401
 from .config import ExperimentConfig, parse_config  # noqa: F401
 from .data import LabeledDataset, NoiseSpec, PartitionSpec  # noqa: F401
-from .nn import LayerSpec, ModelParams  # noqa: F401
+from .nn import ModelParams  # noqa: F401
 from .server import Experiment, ServerConfig  # noqa: F401

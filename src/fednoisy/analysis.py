@@ -91,12 +91,12 @@ def cka_layer_report(client_models: Iterable[nn.ModelParams],
 
     The layers are split into passes (:func:`_cka_passes`) whose widths add
     up to at most the widest layer's. Each pass iterates ``client_models``
-    again and runs each model only up to the pass's last layer, so a source
-    that reads the models from disk keeps one alive at a time, and only the
-    pass's features are held. ``client_models`` must therefore be
-    re-iterable (a list, or :func:`checkpoint.client_models`); an iterator
-    raises ``TypeError``, and a pass that yields another model count than
-    the first raises ``ValueError``. Every entry is :func:`linear_cka` of the
+    again and runs each model forward, so a source that reads the models
+    from disk keeps one alive at a time, and only the pass's features are
+    held. ``client_models`` must therefore be re-iterable (a list, or
+    :func:`checkpoint.client_models`); an iterator raises ``TypeError``,
+    and a pass that yields another model count than the first raises
+    ``ValueError``. Every entry is :func:`linear_cka` of the
     two models' features, computed by :func:`_layer_cka` with a different
     summation order.
     """
@@ -146,7 +146,7 @@ def _cka_passes(widths: list[int]) -> list[range]:
     """Runs of consecutive layers whose widths add up to at most the widest
     layer's: 784-64-32-10 gives {0} and {1, 2}. Each run is one pass of
     cka_layer_report, so its features take no more memory than the widest
-    layer's alone, and the first layers run once per pass."""
+    layer's alone."""
     max_width = max(widths)
     passes, start, total = [], 0, 0
     for l, d in enumerate(widths):
@@ -162,21 +162,15 @@ def _add_features(blocks: list[list[np.ndarray]], layers: range,
                   widths: list[int], i: int, model: nn.ModelParams,
                   probe: np.ndarray) -> None:
     """Centre model i's features at each of ``layers`` into its d columns of
-    the layer's block i // _CKA_BLOCK, from one forward pass of the model's
-    layers up to the last of them.
+    the layer's block i // _CKA_BLOCK, from one forward pass of the model.
 
-    The pass runs a prefix of ``model`` that shares its buffer. A block is
-    allocated when its first model arrives. Several blocks, not one (n, M*d)
-    array: small blocks reuse memory the allocator already holds, where one
-    large array maps new pages.
+    A block is allocated when its first model arrives. Several blocks, not
+    one (n, M*d) array: small blocks reuse memory the allocator already
+    holds, where one large array maps new pages.
     """
-    stop = layers.stop
-    prefix = nn.ModelParams.from_flat(
-        model.flat[..., :model.layer_slices[stop - 1].stop],
-        model.shapes[:stop], model.activations[:stop])
     b, col = divmod(i, _CKA_BLOCK)
-    feats = nn.forward(prefix, probe)[0][layers.start:]
-    for layer, d, a in zip(blocks, widths[layers.start:stop], feats,
+    feats = nn.forward(model, probe)[0][layers.start:layers.stop]
+    for layer, d, a in zip(blocks, widths[layers.start:layers.stop], feats,
                            strict=True):
         if col == 0:
             layer.append(np.empty((len(probe), _CKA_BLOCK * d)))

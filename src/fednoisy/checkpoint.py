@@ -3,8 +3,10 @@
 A blob is a model's ``ModelParams.flat`` buffer verbatim (W0, b0, W1, b1, ...).
 
 A round directory holds ``global.bin``, one ``client_###.bin`` per client,
-and ``manifest.json`` recording layer shapes, activations, and the ground
-truth noise rates (so CKA analysis can split noisy/clean groups later).
+and ``manifest.json`` recording layer shapes and the ground truth noise
+rates (so CKA analysis can split noisy/clean groups later). It is written
+as ``round_NNNN.tmp/`` and renamed into place, so a ``round_NNNN/`` is
+always a complete round.
 
 Beside the rounds, ``probe.npy`` holds the run's CKA probe rows (an .npy
 array, written once by :func:`save_probe`), and every manifest of the run
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -28,35 +31,29 @@ from .errors import DataFormatError
 MANIFEST_NAME = "manifest.json"
 GLOBAL_NAME = "global.bin"
 PROBE_NAME = "probe.npy"
-# the keys load_round reads
-MANIFEST_KEYS = ("layer_shapes", "activations", "global", "clients",
-                 "noise_rates", "round")
+# the keys load_round reads; an older manifest's "activations" is ignored
+MANIFEST_KEYS = ("layer_shapes", "global", "clients", "noise_rates", "round")
 
 
 def round_dir(base_dir, round_idx: int) -> str:
     return os.path.join(base_dir, f"round_{round_idx:04d}")
 
 
-def _replace_file(path, mode: str, write) -> None:
-    """Call ``write(fh)`` on a temporary file opened with ``mode`` and
-    renamed over ``path``, so a crash mid-write never leaves a truncated
-    ``path``."""
+def save_probe(base_dir, probe: np.ndarray) -> str:
+    """Write the CKA probe rows to ``base_dir/probe.npy``; returns their
+    fingerprint, the ``probe_id`` the run's manifests record. The file is
+    written under a temporary name and renamed into place, so a crash
+    mid-write never leaves a truncated probe."""
+    os.makedirs(base_dir, exist_ok=True)
+    path = os.path.join(base_dir, PROBE_NAME)
     tmp_path = path + ".tmp"
     try:
-        with open(tmp_path, mode) as fh:
-            write(fh)
+        with open(tmp_path, "wb") as fh:
+            np.save(fh, probe, allow_pickle=False)
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
-
-
-def save_probe(base_dir, probe: np.ndarray) -> str:
-    """Write the CKA probe rows to ``base_dir/probe.npy``; returns their
-    fingerprint, the ``probe_id`` the run's manifests record."""
-    os.makedirs(base_dir, exist_ok=True)
-    _replace_file(os.path.join(base_dir, PROBE_NAME), "wb",
-                  lambda fh: np.save(fh, probe, allow_pickle=False))
     return probe_fingerprint(probe)
 
 
@@ -80,12 +77,18 @@ def read_probe(base_dir, manifest: dict) -> np.ndarray:
 def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
                client_params: list[nn.ModelParams], noise_rates, *,
                probe_id: str | None = None) -> str:
+    """Write a round's models and manifest to ``round_dir(base_dir,
+    round_idx)`` and return that path. The round is written to a ``.tmp``
+    directory and renamed into place, replacing an earlier save of the
+    round, so a failed save leaves no partial round and the earlier save
+    whole."""
     path = round_dir(base_dir, round_idx)
-    os.makedirs(path, exist_ok=True)
+    tmp_path = path + ".tmp"
+    shutil.rmtree(tmp_path, ignore_errors=True)  # left by a killed save
+    os.makedirs(tmp_path)
     manifest = {
         "round": round_idx,
         "layer_shapes": [list(shape) for shape in global_params.shapes],
-        "activations": list(global_params.activations),
         "num_clients": len(client_params),
         "noise_rates": [float(r) for r in noise_rates],
         "global": GLOBAL_NAME,
@@ -93,16 +96,19 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
     }
     if probe_id is not None:
         manifest["probe_id"] = probe_id
-    for name, params in zip([GLOBAL_NAME, *manifest["clients"]],
-                            [global_params, *client_params]):
-        params.flat.astype("<f8", copy=False).tofile(os.path.join(path, name))
-    # written last and renamed into place, so a readable manifest always
-    # describes a complete round, even after a crash mid-write
-    def write_manifest(fh):
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-    _replace_file(os.path.join(path, MANIFEST_NAME), "w", write_manifest)
+    try:
+        for name, params in zip([GLOBAL_NAME, *manifest["clients"]],
+                                [global_params, *client_params]):
+            params.flat.astype("<f8", copy=False).tofile(
+                os.path.join(tmp_path, name))
+        with open(os.path.join(tmp_path, MANIFEST_NAME), "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        os.rename(tmp_path, path)
+    finally:
+        shutil.rmtree(tmp_path, ignore_errors=True)
     return path
 
 
@@ -114,7 +120,14 @@ def read_manifest(path) -> dict:
         raise FileNotFoundError(
             f"missing checkpoint manifest: expected {manifest_path}")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise DataFormatError(f"checkpoint manifest {manifest_path} is "
+                                  f"not valid JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise DataFormatError(
+            f"checkpoint manifest {manifest_path} is not a JSON object")
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
@@ -145,7 +158,7 @@ def read_model(path, name: str, manifest: dict) -> nn.ModelParams:
     # read straight into the model's buffer, which "<f8" is on a
     # little-endian host (elsewhere astype swaps the bytes)
     flat = np.fromfile(blob_path, dtype="<f8").astype(np.float64, copy=False)
-    return nn.ModelParams.from_flat(flat, shapes, manifest["activations"])
+    return nn.ModelParams.from_flat(flat, shapes)
 
 
 class _ClientModels:

@@ -100,8 +100,10 @@ def _clear_previous_run(out_dir: str) -> None:
     for path in stale:
         if os.path.isfile(path):
             os.remove(path)
-    for round_idx in checkpoint.available_rounds(ckpt_base):
-        path = checkpoint.round_dir(ckpt_base, round_idx)
+    rounds = [checkpoint.round_dir(ckpt_base, r)
+              for r in checkpoint.available_rounds(ckpt_base)]
+    # and any round a killed save left half written
+    for path in rounds + glob.glob(os.path.join(ckpt_base, "round_*.tmp")):
         if os.path.isdir(path):
             shutil.rmtree(path)
 

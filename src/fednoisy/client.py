@@ -124,10 +124,8 @@ def local_train(global_params: nn.ModelParams,
     cols = np.arange(k)[:, None]
 
     params = nn.ModelParams.from_flat(np.empty((k, global_params.flat.size)),
-                                      global_params.shapes,
-                                      global_params.activations)
-    grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes,
-                                    params.activations)
+                                      global_params.shapes)
+    grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes)
     pull = np.empty_like(params.flat) if config.prox_mu > 0 else None
     # the received model's row losses, in the first epoch's order
     h_rows = np.empty((k, n)) if config.h_on == H_ON_GLOBAL else None
@@ -157,8 +155,7 @@ def local_train(global_params: nn.ModelParams,
         raise NumericError(
             f"client {bad.client_id} diverged to non-finite parameters")
 
-    models = [nn.ModelParams.from_flat(row, params.shapes, params.activations)
-              for row in params.flat]
+    models = [nn.ModelParams.from_flat(row, params.shapes) for row in params.flat]
     if h_rows is None:
         h = [data_quality_loss(m, a, dataset) for m, a in zip(models, members)]
     else:

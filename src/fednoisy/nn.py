@@ -21,7 +21,6 @@ Importing this module pins numpy's OpenBLAS to :data:`BLAS_THREADS`.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,43 +54,12 @@ def pin_blas_threads(n: int) -> None:
 
 pin_blas_threads(BLAS_THREADS)
 
-RELU = "relu"
-IDENTITY = "identity"
-ACTIVATIONS = (RELU, IDENTITY)
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One dense layer: ``in_dim -> out_dim`` followed by an activation."""
-
-    in_dim: int
-    out_dim: int
-    activation: str = RELU
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ShapeError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-def mlp_specs(layer_sizes: list[int] | tuple[int, ...]) -> list[LayerSpec]:
-    """Build the spec chain for an MLP, relu on hidden layers, identity logits.
-
-    ``layer_sizes`` includes input and output dims, e.g. (784, 64, 32, 10).
-    """
-    if len(layer_sizes) < 2:
-        raise ShapeError("need at least input and output sizes")
-    specs = []
-    for k in range(len(layer_sizes) - 1):
-        last = k == len(layer_sizes) - 2
-        specs.append(LayerSpec(layer_sizes[k], layer_sizes[k + 1],
-                               IDENTITY if last else RELU))
-    return specs
-
 
 class ModelParams:
     """Ordered per-layer parameter blocks of a dense classifier, in one buffer.
+
+    The classifier is an MLP: ReLU after every layer but the last, whose
+    outputs are the logits.
 
     ``flat`` is one contiguous float64 vector laid out W0, b0, W1, b1, ...
     with each ``W`` row-major; a checkpoint blob is exactly ``flat`` in
@@ -106,8 +74,7 @@ class ModelParams:
     out_dim).
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
-                 activations: list[str] = ()):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases):
             raise ShapeError(
                 f"{len(weights)} weight blocks but {len(biases)} bias blocks")
@@ -118,17 +85,17 @@ class ModelParams:
                                  f"not fit weight shape {shape}")
         flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases)
                                for a in pair], dtype=np.float64)
-        self._bind(flat, shapes, activations)
+        self._bind(flat, shapes)
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes, activations) -> "ModelParams":
+    def from_flat(cls, flat: np.ndarray, shapes) -> "ModelParams":
         """Wrap a float64 vector laid out as ``flat`` for ``shapes``, or a
         (k, P) block of k such rows, without copying it."""
         params = cls.__new__(cls)
-        params._bind(flat, shapes, activations)
+        params._bind(flat, shapes)
         return params
 
-    def _bind(self, flat, shapes, activations) -> None:
+    def _bind(self, flat, shapes) -> None:
         self.shapes = [(int(o), int(i)) for o, i in shapes]
         size = sum(o * i + o for o, i in self.shapes)
         if flat.dtype != np.float64 or flat.ndim not in (1, 2) \
@@ -136,7 +103,6 @@ class ModelParams:
             raise ShapeError(f"flat buffer {flat.dtype}{flat.shape} does not "
                              f"hold layers {self.shapes}")
         self.flat = flat
-        self.activations = list(activations)
         self.weights, self.biases, self.layer_slices = [], [], []
         lead = flat.shape[:-1]
         start = 0
@@ -161,8 +127,7 @@ class ModelParams:
         return self.shapes[-1][0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.flat.copy(), self.shapes,
-                                     self.activations)
+        return ModelParams.from_flat(self.flat.copy(), self.shapes)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -173,36 +138,29 @@ def _check_congruent(a: ModelParams, b: ModelParams) -> None:
         raise ShapeError(f"layer shapes differ: {a.shapes} vs {b.shapes}")
 
 
-def init_params(specs: list[LayerSpec], seed: int) -> ModelParams:
+def init_params(layer_sizes, seed) -> ModelParams:
     """Scaled-Gaussian (He) initialization: std = sqrt(2/in_dim), zero biases.
 
-    Deterministic for a given seed.
+    ``layer_sizes`` runs from the input to the output width, e.g.
+    (784, 64, 32, 10). Deterministic for a given seed.
     """
-    for prev, cur in zip(specs, specs[1:]):
-        if prev.out_dim != cur.in_dim:
-            raise ShapeError(
-                f"layer chain broken: {prev.out_dim} -> {cur.in_dim}")
+    if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+        raise ShapeError(f"need an input and an output size, each >= 1, "
+                         f"got {list(layer_sizes)}")
     rng = np.random.default_rng(seed)
-    weights, biases, acts = [], [], []
-    for spec in specs:
-        std = np.sqrt(2.0 / spec.in_dim)
-        weights.append(rng.normal(0.0, std, size=(spec.out_dim, spec.in_dim)))
-        biases.append(np.zeros(spec.out_dim))
-        acts.append(spec.activation)
-    return ModelParams(weights, biases, acts)
-
-
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == RELU:
-        return np.maximum(z, 0.0)
-    return z
+    weights, biases = [], []
+    for in_dim, out_dim in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / in_dim),
+                                  size=(out_dim, in_dim)))
+        biases.append(np.zeros(out_dim))
+    return ModelParams(weights, biases)
 
 
 def forward(params: ModelParams, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Run the network on a batch of rows, or a cohort on a (k, B, dim) stack.
 
-    Returns (activations, logits) where activations[l] is the post-activation
-    output of layer l; the final entry equals the logits (identity layer).
+    Returns (activations, logits) where activations[l] is layer l's output,
+    after its ReLU on a hidden layer; the final entry is the logits.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim not in (2, 3) or batch.shape[-1] != params.in_dim:
@@ -210,8 +168,9 @@ def forward(params: ModelParams, batch: np.ndarray) -> tuple[list[np.ndarray], n
             f"batch width {batch.shape} incompatible with input dim {params.in_dim}")
     activations = []
     a = batch
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        a = _apply_activation(a @ w.swapaxes(-1, -2) + b[..., None, :], act)
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        a = np.maximum(z, 0.0) if l < params.num_layers - 1 else z
         activations.append(a)
     logits = activations[-1]
     if not np.isfinite(logits).all():
@@ -289,8 +248,7 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
     batch_x = np.asarray(batch_x, dtype=np.float64)
     if out is None:
         size = params.flat.shape[-1:]
-        out = ModelParams.from_flat(np.empty(batch_x.shape[:-2] + size),
-                                    params.shapes, params.activations)
+        out = ModelParams.from_flat(np.empty(batch_x.shape[:-2] + size), params.shapes)
     else:
         _check_congruent(params, out)
     for l in range(params.num_layers - 1, -1, -1):
@@ -298,9 +256,8 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
         np.matmul(delta.swapaxes(-1, -2), below, out=out.weights[l])
         delta.sum(axis=-2, out=out.biases[l])
         if l > 0:
-            delta = delta @ params.weights[l]
-            if params.activations[l - 1] == RELU:
-                delta = delta * (activations[l - 1] > 0)
+            # layer l - 1 is hidden: through its ReLU
+            delta = delta @ params.weights[l] * (activations[l - 1] > 0)
     return mean_loss, out
 
 
@@ -309,8 +266,7 @@ def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
     _check_congruent(params, grad)
-    return ModelParams.from_flat(params.flat - lr * grad.flat, params.shapes,
-                                 params.activations)
+    return ModelParams.from_flat(params.flat - lr * grad.flat, params.shapes)
 
 
 def param_sq_distance(a: ModelParams, b: ModelParams) -> float:

@@ -77,14 +77,12 @@ class ReliabilityScores:
 
 @dataclass
 class DetectionHistory:
-    """Per-round flagged and clean client sets."""
+    """Per-round flagged client sets."""
 
     flagged: list[set[int]] = field(default_factory=list)
-    clean: list[set[int]] = field(default_factory=list)
 
-    def record(self, noisy: set[int], clean: set[int]) -> None:
+    def record(self, noisy: set[int]) -> None:
         self.flagged.append(set(noisy))
-        self.clean.append(set(clean))
 
     @property
     def num_rounds(self) -> int:
@@ -135,8 +133,7 @@ def aggregate_trimmed_mean(updates: list[ClientUpdate],
         raise ValueError(f"trimming {m} per side leaves no clients out of {c}")
     first = _common_layout(updates)
     stack = np.sort(np.stack([u.params.flat for u in updates]), axis=0)
-    return nn.ModelParams.from_flat(stack[m:c - m].mean(axis=0), first.shapes,
-                                    first.activations)
+    return nn.ModelParams.from_flat(stack[m:c - m].mean(axis=0), first.shapes)
 
 
 # ---------------------------------------------------------------- detection
@@ -245,7 +242,7 @@ def aggregate_layerwise(updates: list[ClientUpdate],
         for w, block in zip(column, first.layer_slices):
             np.multiply(u.params.flat[block], w, out=scaled[block])
         out += scaled
-    return nn.ModelParams.from_flat(out, first.shapes, first.activations)
+    return nn.ModelParams.from_flat(out, first.shapes)
 
 
 # ---------------------------------------------------------------- experiment
@@ -284,7 +281,7 @@ class Experiment:
             for a, rate in zip(assignments, self.noise_rates)]
 
         sizes = [dataset.dim, *hidden_dims, dataset.num_classes]
-        self.global_params = nn.init_params(nn.mlp_specs(sizes), (seed, 0))
+        self.global_params = nn.init_params(sizes, (seed, 0))
         self.history = DetectionHistory()
         self.s_corr: set[int] = set()
         self.metrics: list[RoundMetrics] = []
@@ -354,8 +351,8 @@ class Experiment:
         cfg = self.config
         updates = self._train_clients(round_idx)
         scores = reliability_scores(updates, self.global_params)
-        noisy, clean = detect_noisy(scores, cfg.beta)
-        self.history.record(noisy, clean)
+        noisy, _ = detect_noisy(scores, cfg.beta)
+        self.history.record(noisy)
 
         new_global, weight_matrix = self._aggregate(updates, scores, noisy,
                                                     round_idx)

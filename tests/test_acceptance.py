@@ -118,11 +118,12 @@ def _relu_margin(params, x):
     """Smallest |pre-activation| over all relu units; 0 means a kink."""
     a = x
     margin = np.inf
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w.T + b
-        if act == nn.RELU:
+        relu = l < params.num_layers - 1
+        if relu:
             margin = min(margin, float(np.abs(z).min()))
-        a = np.maximum(z, 0.0) if act == nn.RELU else z
+        a = np.maximum(z, 0.0) if relu else z
     return margin
 
 
@@ -137,7 +138,7 @@ def test_criterion_1_gradient_correctness():
     while checked < 20:
         depth = int(rng.integers(2, 4))
         sizes = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
-        params = nn.init_params(nn.mlp_specs(sizes), int(rng.integers(1 << 30)))
+        params = nn.init_params(sizes, int(rng.integers(1 << 30)))
         n = int(rng.integers(2, 7))
         x = rng.normal(size=(n, sizes[0]))
         y = rng.integers(0, sizes[-1], size=n)
@@ -179,7 +180,7 @@ def test_criterion_2_aggregator_oracles():
         updates = []
         for cid in range(c):
             p = nn.ModelParams([rng.normal(size=shape)],
-                               [rng.normal(size=shape[0])], [nn.IDENTITY])
+                               [rng.normal(size=shape[0])])
             updates.append(ClientUpdate(cid, p, 1.0, 1, 1))
         pct = float(rng.uniform(0, 49.9))
         got = aggregate_trimmed_mean(updates, pct)
@@ -196,7 +197,7 @@ def test_criterion_2_aggregator_oracles():
 
     updates = []
     for cid in range(8):
-        p = nn.init_params(nn.mlp_specs([4, 5, 3]), cid + 100)
+        p = nn.init_params([4, 5, 3], cid + 100)
         updates.append(ClientUpdate(cid, p, 1.0, int(rng.integers(1, 40)), 1))
     sizes = np.array([u.n_samples for u in updates], dtype=float)
     wgt = sizes / sizes.sum()
@@ -349,7 +350,7 @@ def test_criterion_8_label_correction_efficacy():
                         for c in range(10)])
     oracle = None
     for scale in (1.0, 10.0, 100.0, 1000.0):
-        cand = nn.ModelParams([scale * centers], [np.zeros(10)], [nn.IDENTITY])
+        cand = nn.ModelParams([scale * centers], [np.zeros(10)])
         preds, conf = nn.predict_confidences(cand, ds.features)
         if (preds == ds.labels).all() and conf.min() > 0.99:
             oracle = cand

@@ -61,7 +61,7 @@ def test_cka_rejects_degenerate_inputs():
 # --------------------------------------------------------- cka_layer_report
 
 def small_models(n_models, seed0=0, sizes=(6, 5, 4, 3)):
-    return [nn.init_params(nn.mlp_specs(list(sizes)), s)
+    return [nn.init_params(list(sizes), s)
             for s in range(seed0, seed0 + n_models)]
 
 
@@ -134,8 +134,7 @@ def test_report_matches_pairwise_oracle(models, rows, seed):
 def test_report_rejects_zero_variance_model():
     models = small_models(3)
     dead = nn.ModelParams([np.zeros_like(w) for w in models[0].weights],
-                          [np.zeros_like(b) for b in models[0].biases],
-                          models[0].activations)
+                          [np.zeros_like(b) for b in models[0].biases])
     with pytest.raises(ValueError, match="zero-variance"):
         analysis.cka_layer_report([models[1], dead], models[2], rand(20, 6, 1),
                                   [1])
@@ -153,19 +152,19 @@ def test_passes_hold_at_most_the_widest_layer(widths, passes):
 
 
 def test_report_runs_each_pass_up_to_its_last_layer(monkeypatch):
-    # widths 6, 4, 2: passes {0} and {1, 2}
+    # widths 6, 4, 2: passes {0} and {1, 2}, each one forward per model
     models = small_models(K + 2, sizes=(6, 6, 4, 2))
-    forward, depths = nn.forward, []
+    forward, seen = nn.forward, []
 
     def recording_forward(params, batch):
-        depths.append(params.num_layers)
+        seen.append(params)
         return forward(params, batch)
 
     monkeypatch.setattr(nn, "forward", recording_forward)
     report = analysis.cka_layer_report(models[:-1], models[-1],
                                        rand(20, 6, 2), [0])
     assert report.num_layers == 3
-    assert depths == [1] * len(models) + [3] * len(models)
+    assert seen == models + models
 
 
 class Reloading:
@@ -258,7 +257,7 @@ def test_weight_divergence_matches_param_distance():
 def test_accuracy_constant_model_on_balanced_set():
     ds = data.make_synthetic(4, 25, 3, 0.5, seed=0)
     constant = nn.ModelParams([np.zeros((4, 3))],
-                              [np.array([5.0, 0.0, 0.0, 0.0])], [nn.IDENTITY])
+                              [np.array([5.0, 0.0, 0.0, 0.0])])
     assert analysis.evaluate_accuracy(constant, ds) == pytest.approx(0.25)
 
 
@@ -266,13 +265,13 @@ def test_accuracy_oracle_model_is_perfect():
     ds = data.make_synthetic(3, 30, 5, 0.01, seed=1)
     centers = np.stack([ds.features[ds.labels == c].mean(axis=0)
                         for c in range(3)])
-    oracle = nn.ModelParams([100 * centers], [np.zeros(3)], [nn.IDENTITY])
+    oracle = nn.ModelParams([100 * centers], [np.zeros(3)])
     assert analysis.evaluate_accuracy(oracle, ds) == 1.0
 
 
 def test_accuracy_random_model_near_chance():
     ds = data.make_synthetic(10, 1000, 8, 100.0, seed=2)  # labels ~ unlearnable
-    model = nn.init_params(nn.mlp_specs([8, 6, 10]), 3)
+    model = nn.init_params([8, 6, 10], 3)
     assert analysis.evaluate_accuracy(model, ds) == pytest.approx(0.1, abs=0.02)
 
 

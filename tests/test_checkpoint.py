@@ -15,7 +15,7 @@ from tests_util import flatten_params, model_stacks
 
 
 def model(seed=0):
-    return nn.init_params(nn.mlp_specs([5, 4, 3]), seed)
+    return nn.init_params([5, 4, 3], seed)
 
 
 def save_one(tmp_path, m):
@@ -33,7 +33,7 @@ def test_blob_round_trip(tmp_path):
     for l in range(m.num_layers):
         assert np.array_equal(back.weights[l], m.weights[l])
         assert np.array_equal(back.biases[l], m.biases[l])
-    assert back.activations == m.activations
+    assert back.shapes == m.shapes
 
 
 def test_blob_is_little_endian_float64(tmp_path):
@@ -50,7 +50,7 @@ def test_blob_is_little_endian_float64(tmp_path):
 def test_blob_is_flat_buffer_and_round_trips(tmp_path_factory, models):
     # the clients are rows of one stacked buffer, as a cohort's are
     stack = np.stack([m.flat for m in models])
-    clients = [nn.ModelParams.from_flat(row, m.shapes, m.activations)
+    clients = [nn.ModelParams.from_flat(row, m.shapes)
                for row, m in zip(stack, models)]
     path = checkpoint.save_round(tmp_path_factory.mktemp("blobs"), 1,
                                  models[0], clients, [0.0] * len(models))
@@ -62,7 +62,7 @@ def test_blob_is_flat_buffer_and_round_trips(tmp_path_factory, models):
         back = checkpoint.read_model(path, name, manifest)
         assert back.flat.dtype == np.float64
         assert back.flat.tobytes() == m.flat.tobytes()
-        assert back.shapes == m.shapes and back.activations == m.activations
+        assert back.shapes == m.shapes
 
 
 def test_blob_size_mismatch_rejected(tmp_path):
@@ -145,6 +145,11 @@ def test_available_rounds(tmp_path):
     assert checkpoint.available_rounds(tmp_path) == [10, 20, 30]
 
 
+def read_round_files(path):
+    return {name: open(os.path.join(path, name), "rb").read()
+            for name in sorted(os.listdir(path))}
+
+
 def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
     def half_dump(obj, fh, **kwargs):
         fh.write('{"round": ')
@@ -152,19 +157,38 @@ def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
 
     g = model(9)
     kept = checkpoint.save_round(tmp_path / "kept", 10, g, [g], [0.0])
-    kept_bytes = open(os.path.join(kept, checkpoint.MANIFEST_NAME), "rb").read()
+    kept_files = read_round_files(kept)
     monkeypatch.setattr(checkpoint.json, "dump", half_dump)
     with pytest.raises(OSError, match="disk full"):
         checkpoint.save_round(tmp_path / "new", 10, g, [g], [0.0])
-    path = checkpoint.round_dir(tmp_path / "new", 10)
-    assert sorted(os.listdir(path)) == ["client_000.bin", "global.bin"]
-    # a failed rewrite leaves the previous manifest whole
+    # a failed first save leaves no round directory, not even a .tmp one
+    assert os.listdir(tmp_path / "new") == []
+    assert checkpoint.available_rounds(tmp_path / "new") == []
+    # a failed rewrite leaves the previous blobs and manifest whole
     with pytest.raises(OSError, match="disk full"):
-        checkpoint.save_round(tmp_path / "kept", 10, g, [g], [0.0])
-    assert sorted(os.listdir(kept)) == [
+        checkpoint.save_round(tmp_path / "kept", 10, model(10), [model(11)],
+                              [0.0])
+    assert sorted(kept_files) == [
         "client_000.bin", "global.bin", checkpoint.MANIFEST_NAME]
-    assert open(os.path.join(kept, checkpoint.MANIFEST_NAME),
-                "rb").read() == kept_bytes
+    assert read_round_files(kept) == kept_files
+    assert os.listdir(tmp_path / "kept") == ["round_0010"]
+
+
+def test_save_round_replaces_an_earlier_save_and_a_stale_tmp(tmp_path):
+    g = model(9)
+    checkpoint.save_round(tmp_path, 10, g, [g, g], [0.0, 1.0])
+    stale = checkpoint.round_dir(tmp_path, 10) + ".tmp"
+    os.makedirs(stale)
+    open(os.path.join(stale, "client_007.bin"), "wb").close()
+    path = checkpoint.save_round(tmp_path, 10, model(1), [model(2)], [0.5])
+    assert path == checkpoint.round_dir(tmp_path, 10)
+    assert os.listdir(tmp_path) == ["round_0010"]
+    assert sorted(os.listdir(path)) == [
+        "client_000.bin", "global.bin", checkpoint.MANIFEST_NAME]
+    back_g, back_clients, rates, _ = checkpoint.load_round(path)
+    assert back_g.flat.tobytes() == model(1).flat.tobytes()
+    assert [c.flat.tobytes() for c in back_clients] == [model(2).flat.tobytes()]
+    assert rates == [0.5]
 
 
 def test_failed_probe_write_leaves_the_earlier_probe(tmp_path, monkeypatch):
@@ -186,8 +210,25 @@ def test_missing_manifest_lists_expected_path(tmp_path):
         checkpoint.load_round(tmp_path)
 
 
-@pytest.mark.parametrize("key", ["layer_shapes", "activations", "global",
-                                 "clients", "noise_rates", "round"])
+@pytest.mark.parametrize("text,reason", [
+    ('{"round": ', "not valid JSON"),      # truncated mid-write
+    (b"\xff\xfe\x00", "not valid JSON"),   # not text
+    ("[1, 2]", "not a JSON object"),
+    ("null", "not a JSON object"),
+])
+def test_unreadable_manifest_names_its_path(tmp_path, text, reason):
+    path = checkpoint.save_round(tmp_path, 10, model(8), [model(8)], [0.0])
+    manifest_path = os.path.join(path, checkpoint.MANIFEST_NAME)
+    with open(manifest_path, "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
+    for read in (checkpoint.read_manifest, checkpoint.load_round):
+        with pytest.raises(DataFormatError, match=reason) as err:
+            read(path)
+        assert manifest_path in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["layer_shapes", "global", "clients",
+                                 "noise_rates", "round"])
 def test_manifest_missing_key_names_key_and_path(tmp_path, key):
     g = model(8)
     path = checkpoint.save_round(tmp_path, 10, g, [g], [0.0])

@@ -561,6 +561,10 @@ def refused_cka(out, path, capsys):
 def test_rerun_without_checkpoints_leaves_no_probe(tmp_path, capsys):
     out, path = cka_run(tmp_path)
     assert probe_file(out).is_file()
+    # a round a killed save left half written
+    stale = out / "checkpoints" / "round_0006.tmp"
+    stale.mkdir()
+    (stale / "global.bin").write_bytes(bytes(8))
     cfg = json.loads(open(path).read())
     cfg["save_checkpoints"] = False
     path = write_config(tmp_path, cfg, "rerun.json")
@@ -702,6 +706,62 @@ def test_cka_rejects_a_manifest_with_other_noise_rates(tmp_path, capsys,
 
     err = corrupt_and_run_cka(tmp_path, capsys, edit)
     assert "client count" in err and checkpoint.MANIFEST_NAME in err
+
+
+def test_cka_names_an_undecodable_manifest(tmp_path, capsys):
+    def truncate(round_path):
+        manifest_path = os.path.join(round_path, checkpoint.MANIFEST_NAME)
+        with open(manifest_path, "r+b") as fh:
+            fh.truncate(5)
+
+    err = corrupt_and_run_cka(tmp_path, capsys, truncate)
+    assert "DataFormatError" in err and "not valid JSON" in err
+    assert os.path.join("round_0004", checkpoint.MANIFEST_NAME) in err
+
+
+def test_cka_after_a_failed_last_save_reports_the_round_before(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "full").mkdir()
+    full, full_path = cka_run(tmp_path / "full")
+    assert main(["cka", "--config", full_path, "--round", "2"]) == 0
+    real = json.dump
+
+    def fails_saving_round_4(obj, fh, **kwargs):
+        if isinstance(obj, dict) and obj.get("round") == 4:
+            fh.write('{"round": ')
+            raise OSError("disk full")
+        return real(obj, fh, **kwargs)
+
+    monkeypatch.setattr(checkpoint.json, "dump", fails_saving_round_4)
+    out = tmp_path / "failed"
+    cfg = json.loads(open(full_path).read())
+    cfg["out_dir"] = str(out)
+    path = write_config(tmp_path, cfg, "failed.json")
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == 1
+    assert "OSError: disk full" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert checkpoint.available_rounds(out / "checkpoints") == [2]
+    assert main(["cka", "--config", path]) == 0
+    assert "CKA report for round 2 " in capsys.readouterr().out
+    assert cka_outputs(out) == cka_outputs(full)
+
+
+def test_cka_reads_a_manifest_with_the_old_activations_key(tmp_path):
+    out, path = cka_run(tmp_path)
+    assert main(["cka", "--config", path]) == 0
+    want = cka_outputs(out)
+    manifest_path = os.path.join(checkpoint.round_dir(out / "checkpoints", 4),
+                                 checkpoint.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["activations"] = ["relu", "identity"]
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+    for table in out.glob("cka_*.csv"):
+        table.unlink()
+    assert main(["cka", "--config", path]) == 0
+    assert cka_outputs(out) == want
 
 
 def test_bernoulli_run_does_not_import_scipy(tmp_path):

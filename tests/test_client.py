@@ -25,7 +25,7 @@ def whole_dataset_assignment(ds, client_id=0):
 
 
 def fresh_params(ds, hidden=(8,), seed=0):
-    return nn.init_params(nn.mlp_specs([ds.dim, *hidden, ds.num_classes]), seed)
+    return nn.init_params([ds.dim, *hidden, ds.num_classes], seed)
 
 
 # ------------------------------------------------------------- local_train
@@ -115,8 +115,7 @@ def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
                                        ds.labels[chunk])
             if mu > 0:
                 grad = nn.ModelParams.from_flat(
-                    grad.flat + mu * (params.flat - g.flat), g.shapes,
-                    g.activations)
+                    grad.flat + mu * (params.flat - g.flat), g.shapes)
             params = nn.sgd_step(params, grad, lr)
 
     if not params.all_finite():
@@ -145,7 +144,7 @@ def test_cohort_equals_one_client_calls_bitwise(k, n, batch, epochs, mu, h_on,
         idx = rng.choice(rows, size=n, replace=False)
         members.append(data.ClientAssignment(
             int(cid), idx, ds.labels[idx], rng.integers(0, classes, n)))
-    g = nn.init_params(nn.mlp_specs([dim, *hidden, classes]), seed)
+    g = nn.init_params([dim, *hidden, classes], seed)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu, h_on=h_on)
 
@@ -168,7 +167,7 @@ def test_cohort_equals_one_client_calls_on_benchmark_shapes(n, batch, epochs):
     # 784-64-32-10, where OpenBLAS picks its kernel by row count: one GEMM
     # over the cohort's concatenated rows would move the bits
     ds = data.make_synthetic(10, 40, 784, 2.0, seed=3)
-    g = nn.init_params(nn.mlp_specs([784, 64, 32, 10]), 5)
+    g = nn.init_params([784, 64, 32, 10], 5)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch)
     rng = np.random.default_rng(9)
     members = []
@@ -206,7 +205,7 @@ def test_cohort_names_its_first_diverged_client():
     members = tuple(data.ClientAssignment(
         c, np.arange(c * n, (c + 1) * n), ds.labels[c * n:(c + 1) * n],
         ds.labels[c * n:(c + 1) * n]) for c in range(4))
-    g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)], [nn.IDENTITY])
+    g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)])
     cfg = ClientConfig(lr=1e10, local_epochs=1, batch_size=n)
     with pytest.raises(NumericError,
                        match="^client 2 diverged to non-finite parameters$"):
@@ -316,7 +315,7 @@ def test_h_from_first_step_equals_data_quality_loss(n, batch, epochs, mu, dim,
                              rng.integers(0, k, size=n + 5), k)
     idx = rng.permutation(n + 5)[:n]
     a = data.ClientAssignment(2, idx, ds.labels[idx], rng.integers(0, k, n))
-    g = nn.init_params(nn.mlp_specs([dim, hidden, k]), seed)
+    g = nn.init_params([dim, hidden, k], seed)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu)
     update = client.local_train(g, a, ds, cfg, round_idx=1, seed=seed)
@@ -328,7 +327,7 @@ def test_h_from_first_step_equals_data_quality_loss(n, batch, epochs, mu, dim,
 def test_h_from_first_step_bitwise_on_benchmark_shapes(n, batch):
     # the crowd and desk clients of fedbench: 784-64-32-10, one shard each
     ds = data.make_synthetic(10, 40, 784, 2.0, seed=3)
-    g = nn.init_params(nn.mlp_specs([784, 64, 32, 10]), 5)
+    g = nn.init_params([784, 64, 32, 10], 5)
     cfg = ClientConfig(lr=0.05, local_epochs=2, batch_size=batch)
     rng = np.random.default_rng(9)
     for client_id in range(4):
@@ -376,7 +375,7 @@ def test_h_on_local_is_data_quality_loss_of_the_trained_model():
 def test_h_uniform_logit_model():
     ds = blob_dataset(k=4, per_class=25)
     a = whole_dataset_assignment(ds)
-    zero = nn.ModelParams([np.zeros((4, ds.dim))], [np.zeros(4)], [nn.IDENTITY])
+    zero = nn.ModelParams([np.zeros((4, ds.dim))], [np.zeros(4)])
     h = client.data_quality_loss(zero, a, ds)
     assert h == pytest.approx(len(ds) * np.log(4), rel=1e-12)
 
@@ -388,7 +387,7 @@ def test_h_is_loss_and_grad_loss_times_n_bitwise(k, n, seed):
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(ds))[:n]
     a = data.ClientAssignment(0, idx, ds.labels[idx], rng.integers(0, k + 1, n))
-    g = nn.init_params(nn.mlp_specs([5, 4, k + 1]), seed)
+    g = nn.init_params([5, 4, k + 1], seed)
     mean_loss, _ = nn.loss_and_grad(g, ds.features[a.indices], a.noisy_labels)
     assert client.data_quality_loss(g, a, ds) == mean_loss * n
 
@@ -399,7 +398,7 @@ def test_h_near_zero_for_confident_correct_model():
     # oracle: huge-margin linear model aligned with the class centers
     centers = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(2)])
     w = 1e4 * centers
-    oracle = nn.ModelParams([w], [np.zeros(2)], [nn.IDENTITY])
+    oracle = nn.ModelParams([w], [np.zeros(2)])
     h = client.data_quality_loss(oracle, a, ds)
     assert h < 1e-3
 
@@ -449,7 +448,7 @@ def confident_oracle(ds, confidence=0.99):
     centers = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(k)])
     # scale logits until min confidence clears the target
     for scale in [1.0, 10.0, 100.0, 1000.0]:
-        params = nn.ModelParams([scale * centers], [np.zeros(k)], [nn.IDENTITY])
+        params = nn.ModelParams([scale * centers], [np.zeros(k)])
         preds, conf = nn.predict_confidences(params, ds.features)
         if (preds == ds.labels).all() and conf.min() > confidence:
             return params

@@ -155,7 +155,7 @@ def test_synthetic_peak_memory_is_one_pool():
 def test_synthetic_trainable_by_mlp():
     # spread 0.5 in 10 dims: a small MLP should fit it almost perfectly
     ds = data.make_synthetic(3, 100, 10, 0.5, seed=2)
-    params = nn.init_params(nn.mlp_specs([10, 16, 3]), seed=0)
+    params = nn.init_params([10, 16, 3], seed=0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         order = rng.permutation(len(ds))

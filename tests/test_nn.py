@@ -12,7 +12,7 @@ from tests_util import blas_threads, model_stacks
 
 
 def small_net(seed=0, sizes=(2, 3, 2)):
-    return nn.init_params(nn.mlp_specs(list(sizes)), seed)
+    return nn.init_params(list(sizes), seed)
 
 
 # ---------------------------------------------------------------- oracles
@@ -33,10 +33,11 @@ def matmul_oracle(a, b):
 
 
 def forward_oracle(params, batch):
+    """ReLU after every layer but the last."""
     a = batch
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = matmul_oracle(a, w.T) + b
-        a = np.maximum(z, 0.0) if act == nn.RELU else z
+        a = np.maximum(z, 0.0) if l < params.num_layers - 1 else z
     return a
 
 
@@ -84,7 +85,6 @@ def test_init_shapes_and_zero_biases():
     p = small_net(seed=7)
     assert [w.shape for w in p.weights] == [(3, 2), (2, 3)]
     assert all((b == 0).all() for b in p.biases)
-    assert p.activations == [nn.RELU, nn.IDENTITY]
 
 
 def test_init_deterministic():
@@ -97,28 +97,29 @@ def test_init_seed_sensitivity():
     assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
 
 
-def test_init_rejects_broken_chain():
-    with pytest.raises(ShapeError):
-        nn.init_params([nn.LayerSpec(2, 3), nn.LayerSpec(4, 2, nn.IDENTITY)], 0)
+def test_init_rejects_bad_layer_sizes():
+    for sizes in ([], [4], [4, 0], [0, 3], [4, 3, 0, 2]):
+        with pytest.raises(ShapeError):
+            nn.init_params(sizes, 0)
 
 
 def test_init_weight_scale():
-    p = nn.init_params(nn.mlp_specs([100, 400, 10]), seed=3)
+    p = nn.init_params([100, 400, 10], seed=3)
     assert np.std(p.weights[0]) == pytest.approx(np.sqrt(2 / 100), rel=0.1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.data())
 def test_bias_length_must_match_weight_rows(widths, data_):
-    specs = nn.mlp_specs(widths)
-    layer = data_.draw(st.integers(0, len(specs) - 1))
-    out_dim = specs[layer].out_dim
+    shapes = list(zip(widths[1:], widths))
+    layer = data_.draw(st.integers(0, len(shapes) - 1))
+    out_dim = shapes[layer][0]
     bad = data_.draw(st.integers(0, 7).filter(lambda n: n != out_dim))
-    weights = [np.ones((s.out_dim, s.in_dim)) for s in specs]
-    biases = [np.zeros(bad if l == layer else s.out_dim)
-              for l, s in enumerate(specs)]
+    weights = [np.ones(shape) for shape in shapes]
+    biases = [np.zeros(bad if l == layer else o)
+              for l, (o, _) in enumerate(shapes)]
     with pytest.raises(ShapeError):
-        nn.ModelParams(weights, biases, [s.activation for s in specs])
+        nn.ModelParams(weights, biases)
 
 
 # ---------------------------------------------------------------- forward
@@ -132,7 +133,7 @@ def test_forward_zero_params_zero_logits():
 
 
 def test_forward_identity_layer_passes_batch_through():
-    p = nn.ModelParams([np.eye(3)], [np.zeros(3)], [nn.IDENTITY])
+    p = nn.ModelParams([np.eye(3)], [np.zeros(3)])
     x = np.random.default_rng(0).normal(size=(5, 3))
     _, logits = nn.forward(p, x)
     assert np.array_equal(logits, x)
@@ -145,6 +146,21 @@ def test_forward_matches_naive_oracle():
     _, logits = nn.forward(p, x)
     expected = forward_oracle(p, x)
     assert np.allclose(logits, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_forward_applies_relu_on_hidden_layers_only(depth):
+    rng = np.random.default_rng(depth)
+    sizes = [4, 5, 6, 5][:depth] + [3]
+    p = small_net(seed=depth, sizes=sizes)
+    # biases around -0.5 leave units of every layer below zero
+    for b in p.biases:
+        b[:] = rng.normal(-0.5, 1.0, size=b.shape)
+    x = rng.normal(size=(7, 4))
+    acts, logits = nn.forward(p, x)
+    assert np.allclose(logits, forward_oracle(p, x), rtol=1e-12, atol=1e-14)
+    assert all((a >= 0).all() for a in acts[:-1])
+    assert (logits < 0).any()
 
 
 def test_forward_rejects_width_mismatch():
@@ -163,7 +179,7 @@ def test_forward_activations_are_post_activation():
 # ----------------------------------------------------------- loss_and_grad
 
 def test_uniform_logits_loss_is_log_k():
-    p = nn.ModelParams([np.zeros((10, 4))], [np.zeros(10)], [nn.IDENTITY])
+    p = nn.ModelParams([np.zeros((10, 4))], [np.zeros(10)])
     x = np.random.default_rng(0).normal(size=(7, 4))
     y = np.arange(7) % 10
     loss, _ = nn.loss_and_grad(p, x, y)
@@ -172,8 +188,7 @@ def test_uniform_logits_loss_is_log_k():
 
 
 def test_saturated_logits_loss_near_zero():
-    p = nn.ModelParams([np.zeros((3, 2))], [np.array([1000.0, 0.0, 0.0])],
-                       [nn.IDENTITY])
+    p = nn.ModelParams([np.zeros((3, 2))], [np.array([1000.0, 0.0, 0.0])])
     loss, _ = nn.loss_and_grad(p, np.ones((5, 2)), np.zeros(5, dtype=int))
     assert 0 <= loss < 1e-6
 
@@ -268,7 +283,7 @@ def stacked(models):
     """The models as one cohort over a (k, P) block."""
     first = models[0]
     return nn.ModelParams.from_flat(np.stack([m.flat for m in models]),
-                                    first.shapes, first.activations)
+                                    first.shapes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,8 +327,7 @@ def test_stacked_params_view_their_block():
     assert cohort.weights[1].shape == (3, 2, 4)
     assert cohort.biases[0].shape == (3, 4)
     cohort.weights[1][2] += 1.0
-    row = nn.ModelParams.from_flat(cohort.flat[2], cohort.shapes,
-                                   cohort.activations)
+    row = nn.ModelParams.from_flat(cohort.flat[2], cohort.shapes)
     assert np.array_equal(row.weights[1], models[2].weights[1] + 1.0)
     assert np.array_equal(row.biases[1], models[2].biases[1])
 
@@ -328,7 +342,7 @@ def test_sgd_zero_lr_is_identity():
 
 
 def test_sgd_closed_form():
-    p = nn.ModelParams([np.array([[1.0]])], [np.array([1.0])], [nn.IDENTITY])
+    p = nn.ModelParams([np.array([[1.0]])], [np.array([1.0])])
     g = nn.ModelParams([np.array([[0.5]])], [np.array([0.5])])
     out = nn.sgd_step(p, g, 0.1)
     assert out.weights[0][0, 0] == pytest.approx(0.95, abs=0)
@@ -372,8 +386,8 @@ def test_distance_zero_for_identical():
 
 
 def test_distance_hand_sum():
-    a = nn.ModelParams([np.array([[1.0, 2.0]])], [np.array([0.0])], [nn.IDENTITY])
-    b = nn.ModelParams([np.array([[0.0, 0.0]])], [np.array([0.0])], [nn.IDENTITY])
+    a = nn.ModelParams([np.array([[1.0, 2.0]])], [np.array([0.0])])
+    b = nn.ModelParams([np.array([[0.0, 0.0]])], [np.array([0.0])])
     assert nn.param_sq_distance(a, b) == pytest.approx(5.0, abs=0)
 
 
@@ -429,15 +443,14 @@ def test_sq_distances_reject_mismatched_models():
 # ---------------------------------------------------- predict_confidences
 
 def test_uniform_logits_confidence_is_one_over_k():
-    p = nn.ModelParams([np.zeros((10, 3))], [np.zeros(10)], [nn.IDENTITY])
+    p = nn.ModelParams([np.zeros((10, 3))], [np.zeros(10)])
     labels, conf = nn.predict_confidences(p, np.ones((4, 3)))
     assert (labels == 0).all()  # tie broken to lowest index
     assert np.allclose(conf, 0.1, atol=0)
 
 
 def test_saturated_confidence():
-    p = nn.ModelParams([np.zeros((3, 2))], [np.array([1000.0, 0.0, 0.0])],
-                       [nn.IDENTITY])
+    p = nn.ModelParams([np.zeros((3, 2))], [np.array([1000.0, 0.0, 0.0])])
     labels, conf = nn.predict_confidences(p, np.ones((2, 2)))
     assert (labels == 0).all()
     assert (conf > 1 - 1e-6).all()

@@ -20,7 +20,7 @@ from tests_util import model_stacks
 
 def scalar_params(value, bias=0.0):
     return nn.ModelParams([np.array([[float(value)]])],
-                          [np.array([float(bias)])], [nn.IDENTITY])
+                          [np.array([float(bias)])])
 
 
 def scalar_update(cid, value, n=1, h=0.0, rnd=1):
@@ -28,7 +28,7 @@ def scalar_update(cid, value, n=1, h=0.0, rnd=1):
 
 
 def random_update(cid, rng, sizes=(3, 4, 2), n=10, h=1.0):
-    params = nn.init_params(nn.mlp_specs(list(sizes)), int(rng.integers(1 << 30)))
+    params = nn.init_params(list(sizes), int(rng.integers(1 << 30)))
     return ClientUpdate(cid, params, h, n, 1)
 
 
@@ -192,7 +192,7 @@ def history_with_counts(counts, rounds):
     h = DetectionHistory()
     for r in range(rounds):
         flagged = {c for c, k in counts.items() if r < k}
-        h.record(flagged, set(counts) - flagged)
+        h.record(flagged)
     return h
 
 
@@ -255,7 +255,7 @@ def identical_updates(global_params, n_clients, n=5):
 
 
 def test_layerwise_uniform_when_all_clean_and_identical():
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 0)
+    g = nn.init_params([3, 4, 2], 0)
     updates = identical_updates(g, 4)
     w = layerwise_weights(updates, g, set(), 1, ServerConfig())
     assert np.allclose(w, 0.25, atol=1e-12)
@@ -263,7 +263,7 @@ def test_layerwise_uniform_when_all_clean_and_identical():
 
 def test_layerwise_rows_sum_to_one():
     rng = np.random.default_rng(2)
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 1)
+    g = nn.init_params([3, 4, 2], 1)
     updates = [random_update(i, rng, n=int(rng.integers(1, 50))) for i in range(6)]
     w = layerwise_weights(updates, g, {1, 4}, 7, ServerConfig())
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-9
@@ -271,7 +271,7 @@ def test_layerwise_rows_sum_to_one():
 
 
 def test_layerwise_divisor_penalty_ratio():
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 3)
+    g = nn.init_params([3, 4, 2], 3)
     updates = identical_updates(g, 2)  # equal N, d = 1 everywhere
     cfg = ServerConfig(tau=50.0, t_k=10)
     w = layerwise_weights(updates, g, {1}, 10, cfg)  # T >= T_k
@@ -281,7 +281,7 @@ def test_layerwise_divisor_penalty_ratio():
 
 def test_layerwise_flagging_strictly_decreases_weight():
     rng = np.random.default_rng(3)
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 4)
+    g = nn.init_params([3, 4, 2], 4)
     updates = [random_update(i, rng, n=7) for i in range(5)]
     cfg = ServerConfig()
     w_clean = layerwise_weights(updates, g, set(), 5, cfg)
@@ -291,7 +291,7 @@ def test_layerwise_flagging_strictly_decreases_weight():
 
 def test_layerwise_scale_invariance():
     rng = np.random.default_rng(4)
-    g = nn.init_params(nn.mlp_specs([3, 4, 2]), 5)
+    g = nn.init_params([3, 4, 2], 5)
     updates = [random_update(i, rng, n=3) for i in range(4)]
     scaled = [ClientUpdate(u.client_id, u.params, u.h, u.n_samples * 13, 1)
               for u in updates]
@@ -351,7 +351,7 @@ def test_layerwise_rejects_bad_rows():
 
 def test_conservation_under_identical_inputs():
     # floating accumulation allows a few ulps, nothing more
-    g = nn.init_params(nn.mlp_specs([4, 6, 3]), 11)
+    g = nn.init_params([4, 6, 3], 11)
     updates = identical_updates(g, 20, n=100)
     for out in [aggregate_fedavg(updates),
                 aggregate_fedavg(updates, unweighted=True),
@@ -492,12 +492,20 @@ def test_unequal_shards_same_run_at_one_and_two_workers(partition, train_on):
     assert all(m.client_ids == list(range(5)) for m in metrics)
 
 
-def test_history_partition_every_round():
+def test_history_partition_every_round(monkeypatch):
+    real, detected = server.detect_noisy, []
+
+    def recording_detect(*args):
+        detected.append(real(*args))
+        return detected[-1]
+
+    monkeypatch.setattr(server, "detect_noisy", recording_detect)
     exp = tiny_experiment(server.FED_NCL, rounds=3,
                           noise=NoiseSpec(mode=data.FIXED,
                                           rates=[0.0, 0.0, 1.0, 1.0]))
     exp.run()
-    for noisy, clean in zip(exp.history.flagged, exp.history.clean):
+    assert exp.history.flagged == [noisy for noisy, _ in detected]
+    for noisy, clean in zip(exp.history.flagged, (c for _, c in detected)):
         assert noisy | clean == set(range(4))
         assert noisy & clean == set()
     assert exp.history.num_rounds == 3
@@ -519,7 +527,7 @@ def test_relabeled_only_correction_runs_one_forward_per_client(monkeypatch):
     exp = tiny_experiment(server.FED_NCL, t_corr=2, alpha=0.1, eta=0.4)
     exp.client_config.train_on = TRAIN_RELABELED_ONLY
     for _ in range(2):
-        exp.history.record({1, 3}, {0, 2})
+        exp.history.record({1, 3})
     before = {c: exp.assignments[c] for c in (1, 3)}
     preds = {c: nn.predict_confidences(
         exp.global_params, exp.dataset.features[before[c].indices])

@@ -69,11 +69,11 @@ def model_stacks(draw, counts=st.integers(2, 9), out_widths=st.integers(1, 6)):
     n_clients = draw(counts)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    specs = nn.mlp_specs(widths)
+    shapes = list(zip(widths[1:], widths))
     return [nn.ModelParams(
-        [scale * rng.normal(size=(s.out_dim, s.in_dim)) for s in specs],
-        [scale * rng.normal(size=s.out_dim) for s in specs],
-        [s.activation for s in specs]) for _ in range(n_clients)]
+        [scale * rng.normal(size=shape) for shape in shapes],
+        [scale * rng.normal(size=out_dim) for out_dim, _ in shapes])
+        for _ in range(n_clients)]
 
 
 @st.composite
