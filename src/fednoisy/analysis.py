@@ -215,22 +215,18 @@ def _layer_cka(blocks: list[np.ndarray], d: int, m: int) -> np.ndarray:
 # ------------------------------------------------------------ accuracy etc.
 
 def weight_divergence(global_params: nn.ModelParams,
-                      clients: list[nn.ModelParams],
-                      layers: np.ndarray | None = None) -> list[float]:
-    """Per-client squared parameter distance to the global model
-    (``nn.param_sq_distance``), through one scratch buffer.
-
-    With ``layers``, an (L, C) float array, column c also receives client c's
-    per-layer squared distances (``nn.layer_sq_distance``) from the same pass.
-    """
+                      clients: list[nn.ModelParams]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, layers)``: each client's squared parameter distance to the
+    global model (``nn.param_sq_distance``), a (C,) array, and the (L, C)
+    per-layer squared distances (``nn.layer_sq_distance``) from the same
+    pass, through one scratch buffer."""
     scratch = np.empty_like(global_params.flat)
-    totals = []
+    e = np.empty(len(clients))
+    layers = np.empty((global_params.num_layers, len(clients)))
     for c, model in enumerate(clients):
-        total, per_layer = nn.sq_distances(global_params, model, out=scratch)
-        totals.append(total)
-        if layers is not None:
-            layers[:, c] = per_layer
-    return totals
+        e[c], layers[:, c] = nn.sq_distances(global_params, model, out=scratch)
+    return e, layers
 
 
 def evaluate_accuracy(params: nn.ModelParams, test_set: LabeledDataset) -> float:

@@ -31,8 +31,33 @@ from .errors import DataFormatError
 MANIFEST_NAME = "manifest.json"
 GLOBAL_NAME = "global.bin"
 PROBE_NAME = "probe.npy"
-# the keys load_round reads; an older manifest's "activations" is ignored
-MANIFEST_KEYS = ("layer_shapes", "global", "clients", "noise_rates", "round")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_file_name(v) -> bool:  # inside the round directory, never out of it
+    return (isinstance(v, str) and v != "" and ".." not in v
+            and os.path.basename(v) == v)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+# the keys load_round reads, each with what it must hold; an older
+# manifest's "activations" is ignored
+MANIFEST_KEYS = {
+    "layer_shapes": ("a list of [out, in] pairs of positive ints", _list_of(
+        lambda s: isinstance(s, list) and len(s) == 2
+        and all(_is_int(n) and n > 0 for n in s))),
+    "global": ("a plain file name", _is_file_name),
+    "clients": ("a list of plain file names", _list_of(_is_file_name)),
+    "noise_rates": ("a list of finite numbers", _list_of(
+        lambda r: _is_int(r) or isinstance(r, float) and np.isfinite(r))),
+    "round": ("an int", _is_int),
+}
 
 
 def round_dir(base_dir, round_idx: int) -> str:
@@ -114,7 +139,7 @@ def save_round(base_dir, round_idx: int, global_params: nn.ModelParams,
 
 def read_manifest(path) -> dict:
     """The manifest of a round directory, checked for the keys load_round
-    reads and for one noise rate per client."""
+    reads, for their types and for one noise rate per client."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(
@@ -132,6 +157,10 @@ def read_manifest(path) -> dict:
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
                               f"key(s) {', '.join(missing)}")
+    for key, (kind, check) in MANIFEST_KEYS.items():
+        if not check(manifest[key]):
+            raise DataFormatError(f"checkpoint manifest {manifest_path}: "
+                                  f"{key} must be {kind}")
     counts = {"noise_rates": len(manifest["noise_rates"]),
               "clients": len(manifest["clients"])}
     if "num_clients" in manifest:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, checkpoint, data, nn, server
+from . import __version__, analysis, checkpoint, nn, server
 from .analysis import _f, mean_last_accuracy
 from .config import (ExperimentConfig, build_config, build_datasets,
                      config_to_dict, parse_config)
@@ -66,7 +66,7 @@ def _summarize(exp: Experiment, metrics) -> dict:
         final_acc = metrics[-1].test_accuracy
         last10 = mean_last_accuracy(metrics, 10)
         per_round = [detection_precision_recall(flagged, exp.noise_rates)
-                     for flagged in exp.history.flagged]
+                     for flagged in exp.history]
         precision_mean, recall_mean = (float(np.mean(v)) for v in zip(*per_round))
         precision_final, recall_final = per_round[-1]
     else:
@@ -147,13 +147,18 @@ class RunWriter:
                         _summarize(self.exp, self.exp.metrics))
 
 
-def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
-    """Train ``cfg``'s experiment into a RunWriter on ``out_dir``."""
-    exp = Experiment(
+def _experiment(cfg: ExperimentConfig, train, test) -> Experiment:
+    """``cfg``'s experiment: its clients partitioned and noised, untrained."""
+    return Experiment(
         train, test, partition=cfg.partition, noise=cfg.noise,
         client_config=cfg.client, server_config=cfg.server,
         hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
         workers=cfg.resolved_workers())
+
+
+def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
+    """Train ``cfg``'s experiment into a RunWriter on ``out_dir``."""
+    exp = _experiment(cfg, train, test)
     with RunWriter(cfg, exp, out_dir) as writer:
         for round_idx in range(1, cfg.server.rounds + 1):
             # straight into the writer: no round's client models outlive it
@@ -214,19 +219,16 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
 
 
 def cmd_noise_preview(cfg: ExperimentConfig) -> int:
-    out_dir = _start_out_dir(cfg)
-    train, _ = build_datasets(cfg)
-    assignments = data.make_partitions(train, cfg.partition,
-                                       cfg.server.num_clients, cfg.seed)
-    rates = data.sample_client_noise_rates(cfg.noise, cfg.server.num_clients,
-                                           (cfg.seed, 1))
+    exp = _experiment(cfg, *build_datasets(cfg))
+    empty = [a.client_id for a in exp.assignments if len(a) == 0]
+    if empty:  # run stops at round 1 on these, and their flip fraction is NaN
+        raise ValueError(f"clients {empty} get no samples")
+    out_dir = _start_out_dir(cfg)  # after the check: a refusal writes nothing
     print(f"{'client':>6} {'samples':>8} {'rate':>8} {'realized':>9}")
     with open(os.path.join(out_dir, "noise_profile.csv"), "w") as fh:
         fh.write("client_id,n_samples,rate,realized_flip_fraction\n")
-        for a, rate in zip(assignments, rates):
-            noisy = data.apply_symmetric_noise(a, float(rate), train.num_classes,
-                                               (cfg.seed, 2, a.client_id))
-            realized = float((noisy.noisy_labels != noisy.true_labels).mean())
+        for a, rate in zip(exp.assignments, exp.noise_rates):
+            realized = float((a.noisy_labels != a.true_labels).mean())
             print(f"{a.client_id:>6} {len(a):>8} {rate:>8.4f} {realized:>9.4f}")
             fh.write(f"{a.client_id},{len(a)},{_f(rate)},{_f(realized)}\n")
     return EXIT_OK

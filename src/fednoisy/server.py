@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class ServerConfig:
 class ReliabilityScores:
     """Per-client q values for one round plus their population statistics."""
 
-    round_idx: int
     client_ids: list[int]
     q: np.ndarray
     divergence: np.ndarray     # e per client, kept for diagnostics
@@ -72,21 +72,7 @@ class ReliabilityScores:
     std: float
     # (L, C) per-layer squared distances to the global model, from the same
     # pass as ``divergence``; layerwise_weights takes them from here
-    layer_divergence: np.ndarray | None = None
-
-
-@dataclass
-class DetectionHistory:
-    """Per-round flagged client sets."""
-
-    flagged: list[set[int]] = field(default_factory=list)
-
-    def record(self, noisy: set[int]) -> None:
-        self.flagged.append(set(noisy))
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.flagged)
+    layer_divergence: np.ndarray
 
 
 # -------------------------------------------------------------- aggregators
@@ -145,14 +131,11 @@ def reliability_scores(updates: list[ClientUpdate],
         raise ValueError("no updates to score")
     if any(u.n_samples <= 0 for u in updates):
         raise ValueError("updates must carry positive sample counts")
-    layers = np.empty((global_params.num_layers, len(updates)))
-    e = np.array(weight_divergence(global_params, [u.params for u in updates],
-                                   layers))
+    e, layers = weight_divergence(global_params, [u.params for u in updates])
     h_per_sample = np.array([u.h / u.n_samples for u in updates])
     q = e * h_per_sample
-    return ReliabilityScores(
-        updates[0].round_idx, [u.client_id for u in updates], q, e,
-        float(q.mean()), float(q.std()), layers)
+    return ReliabilityScores([u.client_id for u in updates], q, e,
+                             float(q.mean()), float(q.std()), layers)
 
 
 def detect_noisy(scores: ReliabilityScores,
@@ -170,17 +153,13 @@ def detect_noisy(scores: ReliabilityScores,
     return noisy, set(ids) - noisy
 
 
-def select_s_corr(history: DetectionHistory, alpha: float,
+def select_s_corr(history: list[set[int]], alpha: float,
                   t_corr: int) -> set[int]:
     """Clients flagged in strictly more than alpha * t_corr of the first
-    t_corr rounds."""
-    if history.num_rounds < t_corr:
-        raise ValueError(
-            f"history covers {history.num_rounds} rounds, need {t_corr}")
-    counts: dict[int, int] = {}
-    for flagged in history.flagged[:t_corr]:
-        for c in flagged:
-            counts[c] = counts.get(c, 0) + 1
+    t_corr rounds of ``history``, the per-round flagged sets."""
+    if len(history) < t_corr:
+        raise ValueError(f"history covers {len(history)} rounds, need {t_corr}")
+    counts = Counter(c for flagged in history[:t_corr] for c in flagged)
     return {c for c, n in counts.items() if n > alpha * t_corr}
 
 
@@ -197,27 +176,20 @@ def penalty_m(client_id: int, round_idx: int, flagged_now: set[int],
 
 # ------------------------------------------------------ layer-wise weighting
 
-def layerwise_weights(updates: list[ClientUpdate],
-                      global_params: nn.ModelParams, flagged_now: set[int],
-                      round_idx: int, config: ServerConfig,
-                      layer_divergence: np.ndarray | None = None) -> np.ndarray:
+def layerwise_weights(updates: list[ClientUpdate], layer_divergence: np.ndarray,
+                      flagged_now: set[int], round_idx: int,
+                      config: ServerConfig) -> np.ndarray:
     """L x C weight matrix: per layer, normalize N^c scores discounted by the
     layer distance d = 1 + ||theta_l^G - theta_l^c||^2 and the penalty m,
     w ∝ N/(m·d), so flagged clients shrink.
 
     ``layer_divergence`` is the (L, C) matrix of squared layer distances to
-    ``global_params`` that ``reliability_scores`` records; it is computed
-    when omitted.
+    the global model that ``reliability_scores`` records.
     """
-    n_layers = global_params.num_layers
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
     penalties = np.array([
         penalty_m(u.client_id, round_idx, flagged_now, config.tau, config.t_k)
         for u in updates])
-    if layer_divergence is None:
-        layer_divergence = np.empty((n_layers, len(updates)))
-        weight_divergence(global_params, [u.params for u in updates],
-                          layer_divergence)
     d = 1.0 + layer_divergence
     score = sizes / d / penalties
     return score / score.sum(axis=1, keepdims=True)
@@ -282,7 +254,7 @@ class Experiment:
 
         sizes = [dataset.dim, *hidden_dims, dataset.num_classes]
         self.global_params = nn.init_params(sizes, (seed, 0))
-        self.history = DetectionHistory()
+        self.history: list[set[int]] = []   # each round's flagged set
         self.s_corr: set[int] = set()
         self.metrics: list[RoundMetrics] = []
 
@@ -320,18 +292,17 @@ class Experiment:
                    flagged: set[int], round_idx: int
                    ) -> tuple[nn.ModelParams, np.ndarray]:
         cfg = self.config
-        n_layers = self.global_params.num_layers
+        n_layers, c = self.global_params.num_layers, len(updates)
+        if cfg.aggregator == TRIMMED_MEAN:
+            # no per-client weights; record the nominal 1/C rows
+            return (aggregate_trimmed_mean(updates, cfg.trim_pct),
+                    np.full((n_layers, c), 1.0 / c))
         if cfg.aggregator == FED_NCL:
-            w = layerwise_weights(updates, self.global_params, flagged,
-                                  round_idx, cfg, scores.layer_divergence)
-            return aggregate_layerwise(updates, w), w
-        if cfg.aggregator in (FEDAVG, FEDPROX):
-            row = fedavg_weights(updates, unweighted=False)
-            return aggregate_fedavg(updates), np.tile(row, (n_layers, 1))
-        # trimmed mean has no per-client weights; record the nominal 1/C rows
-        row = np.full(len(updates), 1.0 / len(updates))
-        return aggregate_trimmed_mean(updates, cfg.trim_pct), \
-            np.tile(row, (n_layers, 1))
+            w = layerwise_weights(updates, scores.layer_divergence, flagged,
+                                  round_idx, cfg)
+        else:  # FedAvg and FedProx: the sample-count row on every layer
+            w = np.tile(fedavg_weights(updates, unweighted=False), (n_layers, 1))
+        return aggregate_layerwise(updates, w), w
 
     def _correct_labels(self, new_global: nn.ModelParams
                         ) -> tuple[set[int], dict[int, int]]:
@@ -352,7 +323,7 @@ class Experiment:
         updates = self._train_clients(round_idx)
         scores = reliability_scores(updates, self.global_params)
         noisy, _ = detect_noisy(scores, cfg.beta)
-        self.history.record(noisy)
+        self.history.append(noisy)
 
         new_global, weight_matrix = self._aggregate(updates, scores, noisy,
                                                     round_idx)

@@ -89,7 +89,7 @@ def run_one(task) -> tuple[float, float, int | None]:
         hidden_dims=hidden, seed=seed, workers=1)
     metrics = exp.run()
     f1 = []
-    for flagged in exp.history.flagged:
+    for flagged in exp.history:
         p, r = detection_precision_recall(flagged, exp.noise_rates)
         f1.append(2 * p * r / (p + r) if p + r else 0.0)
     wrong = None

@@ -264,7 +264,7 @@ def test_criterion_4_detection_quality(detection_runs):
         noisy_q, clean_q = q10[rates > 0], q10[rates == 0]
         if noisy_q.size and clean_q.size and noisy_q.min() > clean_q.max():
             separated += 1
-        p, r = detection_precision_recall(exp.history.flagged[9], rates)
+        p, r = detection_precision_recall(exp.history[9], rates)
         precisions.append(p)
         recalls.append(r)
     mp, mr = float(np.mean(precisions)), float(np.mean(recalls))
@@ -378,12 +378,12 @@ def test_criterion_9_clean_baseline_sanity():
     reaches = acc_avg[29] >= 0.90
     parity = abs(acc_ncl[29] - acc_avg[29]) <= 0.02
     # spurious flags exist (upper-tail thresholding) but stay a minority
-    flags_minority = np.mean([len(f) for f in ncl.history.flagged]) < 10
+    flags_minority = np.mean([len(f) for f in ncl.history]) < 10
     elapsed = time.perf_counter() - t0
     report(9, "clean fedavg >= 90% by round 30 and fed_ncl within 2 points",
            reaches and parity and flags_minority and elapsed < 600,
            f"fedavg {acc_avg[29]:.3f}, fed_ncl {acc_ncl[29]:.3f}, "
-           f"mean flags {np.mean([len(f) for f in ncl.history.flagged]):.1f}/20, "
+           f"mean flags {np.mean([len(f) for f in ncl.history]):.1f}/20, "
            f"{elapsed:.0f}s")
 
 

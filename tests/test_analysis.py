@@ -249,7 +249,7 @@ def test_report_rejects_single_row_probe():
 
 def test_weight_divergence_matches_param_distance():
     models = small_models(3)
-    out = analysis.weight_divergence(models[0], models)
+    out, _ = analysis.weight_divergence(models[0], models)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(nn.param_sq_distance(models[0], models[1]))
 

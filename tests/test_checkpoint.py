@@ -270,6 +270,36 @@ def test_manifest_with_mismatched_client_counts_rejected(tmp_path, changes):
         assert manifest_path in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_rates", 0.5),
+    ("noise_rates", [0.0, "0.5"]),
+    ("noise_rates", [0.0, float("nan")]),
+    ("noise_rates", [0.0, True]),
+    ("clients", "client_000.bin"),
+    ("clients", ["client_000.bin", "../../../c.json"]),
+    ("clients", ["client_000.bin", "sub/client_001.bin"]),
+    ("clients", ["client_000.bin", 1]),
+    ("global", "../global.bin"),
+    ("layer_shapes", [[4, "5"], [3, 4]]),
+    ("layer_shapes", [[4, 5], [3]]),
+    ("layer_shapes", [[4, 5], [0, 4]]),
+    ("layer_shapes", [[4, 5.0], [3, 4]]),
+    ("layer_shapes", "[[4, 5], [3, 4]]"),
+    ("round", "10"),
+    ("round", 10.0),
+    ("round", True),
+])
+def test_manifest_with_a_mistyped_key_names_key_and_path(tmp_path, key, value):
+    g = model(3)
+    path = checkpoint.save_round(tmp_path, 10, g, [model(4), model(5)],
+                                 [0.0, 1.0])
+    manifest_path = edit_manifest(path, **{key: value})
+    for read in (checkpoint.read_manifest, checkpoint.load_round):
+        with pytest.raises(DataFormatError, match=key) as err:
+            read(path)
+        assert manifest_path in str(err.value)
+
+
 def test_client_models_streams_the_blobs_in_order(tmp_path):
     clients = [model(s) for s in range(10, 14)]
     path = checkpoint.save_round(tmp_path, 20, model(9), clients, [0.0] * 4)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fednoisy
-from fednoisy import analysis, checkpoint, cli, nn, server
+from fednoisy import analysis, checkpoint, cli, data, nn, server
 from fednoisy.cli import CKA_BLAS_THREADS, CKA_PROBE_SIZE, main
 from fednoisy.config import build_datasets, parse_config
 from fednoisy.errors import NumericError
@@ -363,6 +363,47 @@ def test_noise_preview_trunc_gauss_rates_in_bounds(tmp_path):
     assert all(0.0 <= float(r["rate"]) <= 1.0 for r in rows)
 
 
+def preview_experiment(path):
+    """The Experiment that ``run`` would build from the config at ``path``."""
+    cfg = parse_config(path)
+    return server.Experiment(
+        *build_datasets(cfg), partition=cfg.partition, noise=cfg.noise,
+        client_config=cfg.client, server_config=cfg.server,
+        hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
+        workers=cfg.resolved_workers())
+
+
+def test_noise_preview_shows_the_clients_run_trains(tmp_path):
+    out = tmp_path / "np_exp"
+    cfg = base_config(out, partition={"kind": "quantity_skew"},
+                      noise={"mode": "trunc_gauss", "mean": 0.3, "std": 0.4},
+                      server={"num_clients": 6})
+    path = write_config(tmp_path, cfg)
+    assert main(["noise-preview", "--config", path]) == 0
+    rows = list(csv.DictReader(open(out / "noise_profile.csv")))
+    exp = preview_experiment(path)
+    assert len({len(a) for a in exp.assignments}) > 1
+    assert [int(r["n_samples"]) for r in rows] == \
+        [len(a) for a in exp.assignments]
+    assert [r["rate"] for r in rows] == \
+        [analysis._f(rate) for rate in exp.noise_rates]
+
+
+def test_noise_preview_refuses_clients_without_samples(tmp_path, capsys):
+    out = tmp_path / "np_empty"
+    cfg = base_config(out, partition={"kind": "class_skew"}, seed=0,
+                      server={"num_clients": 20})
+    path = write_config(tmp_path, cfg)
+    empty = [a.client_id for a in preview_experiment(path).assignments
+             if len(a) == 0]
+    assert empty
+    assert main(["noise-preview", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert str(empty) in captured.err
+    assert "nan" not in captured.out
+    assert not (out / "noise_profile.csv").exists()
+
+
 # ---------------------------------------------------------------------- cka
 
 def cka_run(tmp_path, rounds=4, every=2, **overrides):
@@ -512,7 +553,7 @@ def test_cka_needs_neither_the_data_nor_the_seed(tmp_path, monkeypatch, kind):
         raise AssertionError("cka built a dataset")
 
     monkeypatch.setattr(cli, "build_datasets", no_data)
-    monkeypatch.setattr(cli.data, "make_synthetic", no_data)
+    monkeypatch.setattr(data, "make_synthetic", no_data)
     if kind == "idx":
         cfg = parse_config(path)
         for name in ("images", "labels", "test_images", "test_labels"):
@@ -611,6 +652,23 @@ def test_cka_refuses_a_manifest_without_probe_id(tmp_path, capsys):
         json.dump(manifest, fh)
     err = refused_cka(out, path, capsys)
     assert "DataFormatError" in err and probe_id in err
+
+
+def test_cka_refuses_a_mistyped_manifest(tmp_path, capsys):
+    out, path = cka_run(tmp_path)
+    manifest_path = os.path.join(checkpoint.round_dir(out / "checkpoints", 4),
+                                 checkpoint.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["noise_rates"] = 0.5
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "DataFormatError" in err
+    assert manifest_path in err and "noise_rates" in err
+    assert cka_outputs(out) == {}
 
 
 def test_cka_peak_memory_below_one_pool(tmp_path):

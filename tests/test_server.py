@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fednoisy import data, nn, server
+from fednoisy import analysis, data, nn, server
 from fednoisy.client import (H_ON_LOCAL, TRAIN_RELABELED_ONLY, ClientConfig,
                              ClientUpdate)
 from fednoisy.data import NoiseSpec, PartitionSpec
-from fednoisy.server import (ROW_SUM_TOL, DetectionHistory, ReliabilityScores,
-                             ServerConfig,
+from fednoisy.server import (ROW_SUM_TOL, ReliabilityScores, ServerConfig,
                              aggregate_fedavg, aggregate_layerwise,
                              aggregate_trimmed_mean, detect_noisy,
                              detection_precision_recall, layerwise_weights,
@@ -32,10 +31,16 @@ def random_update(cid, rng, sizes=(3, 4, 2), n=10, h=1.0):
     return ClientUpdate(cid, params, h, n, 1)
 
 
-def scores_from(q_values, rnd=1):
+def scores_from(q_values):
     q = np.asarray(q_values, dtype=np.float64)
-    return ReliabilityScores(rnd, list(range(q.size)), q, np.zeros_like(q),
-                             float(q.mean()), float(q.std()))
+    return ReliabilityScores(list(range(q.size)), q, np.zeros_like(q),
+                             float(q.mean()), float(q.std()),
+                             np.zeros((1, q.size)))
+
+
+def layer_div(g, updates):
+    """The (L, C) layer distances to ``g`` that a round's scores record."""
+    return analysis.weight_divergence(g, [u.params for u in updates])[1]
 
 
 # ----------------------------------------------------------------- fedavg
@@ -189,11 +194,7 @@ def test_detect_partition_covers_all():
 # ------------------------------------------------------------- select_s_corr
 
 def history_with_counts(counts, rounds):
-    h = DetectionHistory()
-    for r in range(rounds):
-        flagged = {c for c, k in counts.items() if r < k}
-        h.record(flagged)
-    return h
+    return [{c for c, k in counts.items() if r < k} for r in range(rounds)]
 
 
 def test_s_corr_always_flagged_included():
@@ -257,7 +258,8 @@ def identical_updates(global_params, n_clients, n=5):
 def test_layerwise_uniform_when_all_clean_and_identical():
     g = nn.init_params([3, 4, 2], 0)
     updates = identical_updates(g, 4)
-    w = layerwise_weights(updates, g, set(), 1, ServerConfig())
+    w = layerwise_weights(updates, layer_div(g, updates), set(), 1,
+                          ServerConfig())
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
@@ -265,7 +267,8 @@ def test_layerwise_rows_sum_to_one():
     rng = np.random.default_rng(2)
     g = nn.init_params([3, 4, 2], 1)
     updates = [random_update(i, rng, n=int(rng.integers(1, 50))) for i in range(6)]
-    w = layerwise_weights(updates, g, {1, 4}, 7, ServerConfig())
+    w = layerwise_weights(updates, layer_div(g, updates), {1, 4}, 7,
+                          ServerConfig())
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-9
     assert (w > 0).all()
 
@@ -274,7 +277,8 @@ def test_layerwise_divisor_penalty_ratio():
     g = nn.init_params([3, 4, 2], 3)
     updates = identical_updates(g, 2)  # equal N, d = 1 everywhere
     cfg = ServerConfig(tau=50.0, t_k=10)
-    w = layerwise_weights(updates, g, {1}, 10, cfg)  # T >= T_k
+    # T >= T_k
+    w = layerwise_weights(updates, layer_div(g, updates), {1}, 10, cfg)
     for l in range(w.shape[0]):
         assert w[l, 1] / w[l, 0] == pytest.approx(1 / 50, rel=1e-12)
 
@@ -284,8 +288,8 @@ def test_layerwise_flagging_strictly_decreases_weight():
     g = nn.init_params([3, 4, 2], 4)
     updates = [random_update(i, rng, n=7) for i in range(5)]
     cfg = ServerConfig()
-    w_clean = layerwise_weights(updates, g, set(), 5, cfg)
-    w_flag = layerwise_weights(updates, g, {2}, 5, cfg)
+    w_clean = layerwise_weights(updates, layer_div(g, updates), set(), 5, cfg)
+    w_flag = layerwise_weights(updates, layer_div(g, updates), {2}, 5, cfg)
     assert (w_flag[:, 2] < w_clean[:, 2]).all()
 
 
@@ -296,8 +300,8 @@ def test_layerwise_scale_invariance():
     scaled = [ClientUpdate(u.client_id, u.params, u.h, u.n_samples * 13, 1)
               for u in updates]
     cfg = ServerConfig()
-    w1 = layerwise_weights(updates, g, {0}, 3, cfg)
-    w2 = layerwise_weights(scaled, g, {0}, 3, cfg)
+    w1 = layerwise_weights(updates, layer_div(g, updates), {0}, 3, cfg)
+    w2 = layerwise_weights(scaled, layer_div(g, scaled), {0}, 3, cfg)
     assert np.allclose(w1, w2, rtol=1e-12)
 
 
@@ -357,7 +361,8 @@ def test_conservation_under_identical_inputs():
                 aggregate_fedavg(updates, unweighted=True),
                 aggregate_trimmed_mean(updates, 20.0),
                 aggregate_layerwise(
-                    updates, layerwise_weights(updates, g, set(), 1, ServerConfig()))]:
+                    updates, layerwise_weights(updates, layer_div(g, updates),
+                                               set(), 1, ServerConfig()))]:
         for l in range(g.num_layers):
             assert np.allclose(out.weights[l], g.weights[l], rtol=1e-12, atol=0)
 
@@ -365,7 +370,7 @@ def test_conservation_under_identical_inputs():
 # ---------------------------------------------------------------- experiment
 
 def tiny_experiment(aggregator, *, rounds=3, clients=4, seed=0, noise=None,
-                    workers=1, client_kw=None, **server_kw):
+                    workers=1, client_kw=None, partition=None, **server_kw):
     ds = data.make_synthetic(3, 40, 6, 0.6, seed=100)
     test = data.make_synthetic(3, 20, 6, 0.6, seed=101)
     cfg = ServerConfig(aggregator=aggregator, rounds=rounds,
@@ -373,7 +378,7 @@ def tiny_experiment(aggregator, *, rounds=3, clients=4, seed=0, noise=None,
                        **server_kw)
     return server.Experiment(
         ds, test,
-        partition=PartitionSpec(kind=data.IID),
+        partition=partition or PartitionSpec(kind=data.IID),
         noise=noise or NoiseSpec(mode=data.FIXED, rates=[0.0] * clients),
         client_config=ClientConfig(lr=0.05, local_epochs=2, batch_size=16,
                                    **(client_kw or {})),
@@ -399,6 +404,30 @@ def test_single_client_round_returns_client_params(aggregator):
     for l in range(new_global.num_layers):
         assert np.allclose(new_global.weights[l], expected.params.weights[l],
                            rtol=1e-12)
+
+
+@pytest.mark.parametrize("aggregator", server.AGGREGATORS)
+def test_each_aggregator_records_the_rows_it_applies(aggregator):
+    exp = tiny_experiment(aggregator, rounds=2, clients=5,
+                          partition=PartitionSpec(kind=data.QUANTITY_SKEW),
+                          noise=NoiseSpec(mode=data.FIXED,
+                                          rates=[0.0, 1.0, 0.0, 1.0, 0.0]))
+    for round_idx in (1, 2):
+        m, updates, new_global = exp.run_round(round_idx)
+        weights = np.array(m.weights)
+        assert weights.shape == (new_global.num_layers, 5)
+        if aggregator == server.TRIMMED_MEAN:
+            want = aggregate_trimmed_mean(updates, exp.config.trim_pct)
+            assert (weights == 1 / 5).all()
+        else:
+            want = aggregate_layerwise(updates, weights)
+        if aggregator in (server.FEDAVG, server.FEDPROX):
+            assert len({len(a) for a in exp.assignments}) > 1
+            assert new_global.flat.tobytes() == \
+                aggregate_fedavg(updates).flat.tobytes()
+            assert np.array_equal(weights, np.tile(
+                server.fedavg_weights(updates, False), (len(weights), 1)))
+        assert new_global.flat.tobytes() == want.flat.tobytes()
 
 
 @pytest.mark.parametrize("aggregator", server.AGGREGATORS)
@@ -504,11 +533,11 @@ def test_history_partition_every_round(monkeypatch):
                           noise=NoiseSpec(mode=data.FIXED,
                                           rates=[0.0, 0.0, 1.0, 1.0]))
     exp.run()
-    assert exp.history.flagged == [noisy for noisy, _ in detected]
-    for noisy, clean in zip(exp.history.flagged, (c for _, c in detected)):
+    assert exp.history == [noisy for noisy, _ in detected]
+    for noisy, clean in zip(exp.history, (c for _, c in detected)):
         assert noisy | clean == set(range(4))
         assert noisy & clean == set()
-    assert exp.history.num_rounds == 3
+    assert len(exp.history) == 3
 
 
 def test_label_correction_fires_at_t_corr():
@@ -527,7 +556,7 @@ def test_relabeled_only_correction_runs_one_forward_per_client(monkeypatch):
     exp = tiny_experiment(server.FED_NCL, t_corr=2, alpha=0.1, eta=0.4)
     exp.client_config.train_on = TRAIN_RELABELED_ONLY
     for _ in range(2):
-        exp.history.record({1, 3})
+        exp.history.append({1, 3})
     before = {c: exp.assignments[c] for c in (1, 3)}
     preds = {c: nn.predict_confidences(
         exp.global_params, exp.dataset.features[before[c].indices])
@@ -729,13 +758,11 @@ def test_layerwise_weights_equal_per_layer_distance_loop_bitwise(models, data_):
         d = np.array([1.0 + v for v in dist[l]])
         score = sizes / d / m
         want[l] = score / score.sum()
-    got = layerwise_weights(updates, g, flagged, rnd, cfg)
-    assert np.array_equal(got, want)
     # a round passes the distances that reliability_scores recorded
     shared = reliability_scores(updates, g).layer_divergence
     assert np.array_equal(shared, dist)
     assert np.array_equal(
-        layerwise_weights(updates, g, flagged, rnd, cfg, shared), want)
+        layerwise_weights(updates, shared, flagged, rnd, cfg), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -746,8 +773,9 @@ def test_client_order_permutes_weights_and_keeps_flagged_set(models, data_):
     perm = data_.draw(st.permutations(range(len(updates))))
     shuffled = [updates[i] for i in perm]
 
-    w = layerwise_weights(updates, g, flagged, rnd, cfg)
-    w_shuffled = layerwise_weights(shuffled, g, flagged, rnd, cfg)
+    w = layerwise_weights(updates, layer_div(g, updates), flagged, rnd, cfg)
+    w_shuffled = layerwise_weights(shuffled, layer_div(g, shuffled), flagged,
+                                   rnd, cfg)
     assert np.allclose(w_shuffled, w[:, perm], rtol=1e-12, atol=0)
 
     beta = data_.draw(st.floats(0.05, 2.0))
@@ -810,7 +838,7 @@ def test_detect_noisy_invariant_under_q_scaling(models, factor, beta, data_):
 def test_layerwise_weight_rows_sum_to_one(models, data_):
     updates, flagged, rnd, cfg = draw_weighting(models, data_)
     g = data_.draw(st.sampled_from(models))
-    w = layerwise_weights(updates, g, flagged, rnd, cfg)
+    w = layerwise_weights(updates, layer_div(g, updates), flagged, rnd, cfg)
     assert (w >= 0).all()
     assert np.abs(w.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL
 
@@ -823,8 +851,10 @@ def test_divisor_penalty_growth_never_raises_a_flagged_weight(models, tau_a,
     flagged = flagged or {0}
     g = data_.draw(st.sampled_from(models))
     low, high = sorted((tau_a, tau_b))
-    w_low = layerwise_weights(updates, g, flagged, rnd, ServerConfig(tau=low))
-    w_high = layerwise_weights(updates, g, flagged, rnd, ServerConfig(tau=high))
+    w_low = layerwise_weights(updates, layer_div(g, updates), flagged, rnd,
+                              ServerConfig(tau=low))
+    w_high = layerwise_weights(updates, layer_div(g, updates), flagged, rnd,
+                               ServerConfig(tau=high))
     cols = sorted(flagged)
     # every flagged score is divided by the same larger penalty; when all
     # clients are flagged the shares stay put, up to the rounding of the sum
