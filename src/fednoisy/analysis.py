@@ -9,10 +9,9 @@ separate log so repeated runs produce byte-identical files).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,7 @@ class CkaReport:
     average each group's similarity to the global model at layer l.
     """
 
-    probe_id: str
     num_clients: int
-    noisy_ids: list[int]
     matrices: list[np.ndarray]
     mean_noisy: list[float]
     mean_clean: list[float]
@@ -79,54 +76,35 @@ class CkaReport:
         return len(self.matrices)
 
 
-def probe_fingerprint(probe: np.ndarray) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(probe).tobytes()).hexdigest()
-    return f"n{probe.shape[0]}d{probe.shape[1]}-{digest[:12]}"
-
-
-def cka_layer_report(client_models: Iterable[nn.ModelParams],
+def cka_layer_report(client_models: Sequence[nn.ModelParams],
                      global_model: nn.ModelParams, probe: np.ndarray,
                      noisy_ids) -> CkaReport:
     """Run every model on a shared probe batch and compare layer features.
 
     The layers are split into passes (:func:`_cka_passes`) whose widths add
-    up to at most the widest layer's. Each pass iterates ``client_models``
-    again and runs each model forward, so a source that reads the models
-    from disk keeps one alive at a time, and only the pass's features are
-    held. ``client_models`` must therefore be re-iterable (a list, or
-    :func:`checkpoint.client_models`); an iterator raises ``TypeError``,
-    and a pass that yields another model count than the first raises
-    ``ValueError``. Every entry is :func:`linear_cka` of the
-    two models' features, computed by :func:`_layer_cka` with a different
-    summation order.
+    up to at most the widest layer's. Each pass runs ``client_models[0]``
+    to ``client_models[C-1]`` forward, then the global model, so a sequence
+    that reads a model when indexed (:func:`checkpoint.client_models`) keeps
+    one alive at a time, and only the pass's features are held. Every entry
+    is :func:`linear_cka` of the two models' features, computed by
+    :func:`_layer_cka` with a different summation order.
     """
     if len(probe) < 2:
         raise ValueError("CKA needs at least 2 samples")
-    if iter(client_models) is client_models:
-        raise TypeError("cka_layer_report iterates the client models once "
-                        "per pass; pass a re-iterable, not an iterator")
+    num_clients = len(client_models)
+    if num_clients < 1:
+        raise ValueError("need at least one client model")
+    noisy = sorted(int(c) for c in noisy_ids)
+    if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
+        raise ValueError(f"noisy client ids {noisy} must lie in "
+                         f"[0, {num_clients})")
     widths = [shape[0] for shape in global_model.shapes]
     matrices = []
-    num_clients = None
     for layers in _cka_passes(widths):
         blocks: list = [[] for _ in layers]
-        count = 0
-        for model in client_models:
-            _add_features(blocks, layers, widths, count, model, probe)
-            count += 1
-        if num_clients is None:
-            if count < 1:
-                raise ValueError("need at least one client model")
-            num_clients = count
-            noisy = sorted(int(c) for c in noisy_ids)
-            if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
-                raise ValueError(f"noisy client ids {noisy} must lie in "
-                                 f"[0, {num_clients})")
-        elif count != num_clients:
-            raise ValueError(f"the client models gave {count} models on the "
-                             f"pass for layers {list(layers)}, but "
-                             f"{num_clients} on the first pass")
-        _add_features(blocks, layers, widths, count, global_model, probe)
+        for c in range(num_clients):
+            _add_features(blocks, layers, widths, c, client_models[c], probe)
+        _add_features(blocks, layers, widths, num_clients, global_model, probe)
         for k, l in enumerate(layers):
             matrices.append(_layer_cka(blocks[k], widths[l], num_clients + 1))
             # freed before the next layer's matrix and the next pass's blocks
@@ -138,8 +116,7 @@ def cka_layer_report(client_models: Iterable[nn.ModelParams],
                   for mat in matrices]
     mean_clean = [float(np.mean([mat[c, g] for c in clean])) if clean else math.nan
                   for mat in matrices]
-    return CkaReport(probe_fingerprint(probe), num_clients, noisy,
-                     matrices, mean_noisy, mean_clean)
+    return CkaReport(num_clients, matrices, mean_noisy, mean_clean)
 
 
 def _cka_passes(widths: list[int]) -> list[range]:

@@ -17,15 +17,15 @@ run's data nor its seed and never pairs models with another run's probe.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
-from collections.abc import Iterable, Iterator
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import nn
-from .analysis import probe_fingerprint
 from .errors import DataFormatError
 
 MANIFEST_NAME = "manifest.json"
@@ -46,22 +46,35 @@ def _list_of(check):
     return lambda v: isinstance(v, list) and all(map(check, v))
 
 
+def _is_shape_chain(v) -> bool:
+    pairs = _list_of(lambda s: isinstance(s, list) and len(s) == 2
+                     and all(_is_int(n) and n > 0 for n in s))
+    return pairs(v) and all(a[0] == b[1] for a, b in zip(v, v[1:]))
+
+
 # the keys load_round reads, each with what it must hold; an older
 # manifest's "activations" is ignored
 MANIFEST_KEYS = {
-    "layer_shapes": ("a list of [out, in] pairs of positive ints", _list_of(
-        lambda s: isinstance(s, list) and len(s) == 2
-        and all(_is_int(n) and n > 0 for n in s))),
+    "layer_shapes": ("a list of [out, in] pairs of positive ints, each in "
+                     "the out before it", _is_shape_chain),
     "global": ("a plain file name", _is_file_name),
     "clients": ("a list of plain file names", _list_of(_is_file_name)),
     "noise_rates": ("a list of finite numbers", _list_of(
         lambda r: _is_int(r) or isinstance(r, float) and np.isfinite(r))),
     "round": ("an int", _is_int),
 }
+# checked only when present
+OPTIONAL_KEYS = {"num_clients": ("an int", _is_int)}
 
 
 def round_dir(base_dir, round_idx: int) -> str:
     return os.path.join(base_dir, f"round_{round_idx:04d}")
+
+
+def probe_fingerprint(probe: np.ndarray) -> str:
+    """The probe's row and column counts and a SHA-256 prefix of its bytes."""
+    digest = hashlib.sha256(np.ascontiguousarray(probe).tobytes()).hexdigest()
+    return f"n{probe.shape[0]}d{probe.shape[1]}-{digest[:12]}"
 
 
 def save_probe(base_dir, probe: np.ndarray) -> str:
@@ -157,8 +170,8 @@ def read_manifest(path) -> dict:
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
                               f"key(s) {', '.join(missing)}")
-    for key, (kind, check) in MANIFEST_KEYS.items():
-        if not check(manifest[key]):
+    for key, (kind, check) in (MANIFEST_KEYS | OPTIONAL_KEYS).items():
+        if key in manifest and not check(manifest[key]):
             raise DataFormatError(f"checkpoint manifest {manifest_path}: "
                                   f"{key} must be {kind}")
     counts = {"noise_rates": len(manifest["noise_rates"]),
@@ -190,20 +203,21 @@ def read_model(path, name: str, manifest: dict) -> nn.ModelParams:
     return nn.ModelParams.from_flat(flat, shapes)
 
 
-class _ClientModels:
+class _ClientModels(Sequence):
     def __init__(self, path, manifest: dict):
-        self.path = path
-        self.manifest = manifest
+        self.path, self.manifest = path, manifest
 
-    def __iter__(self) -> Iterator[nn.ModelParams]:
-        for name in self.manifest["clients"]:
-            yield read_model(self.path, name, self.manifest)
+    def __len__(self) -> int:
+        return len(self.manifest["clients"])
+
+    def __getitem__(self, c: int) -> nn.ModelParams:
+        return read_model(self.path, self.manifest["clients"][c], self.manifest)
 
 
-def client_models(path, manifest: dict) -> Iterable[nn.ModelParams]:
-    """The manifest's client models in order. Every iteration reads the
-    blobs again, each only when the previous model is consumed, so any
-    number of passes keep one model alive at a time."""
+def client_models(path, manifest: dict) -> Sequence[nn.ModelParams]:
+    """The manifest's client models as a sized sequence. Indexing reads the
+    client's blob then, so every pass reads the blobs again, and a pass
+    that drops each model before the next keeps one alive at a time."""
     return _ClientModels(path, manifest)
 
 

@@ -61,7 +61,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return build_config({**config_to_dict(cfg), **overrides})
 
 
-def _summarize(exp: Experiment, metrics) -> dict:
+def _summarize(exp: Experiment) -> dict:
+    metrics = exp.metrics
     if metrics:
         final_acc = metrics[-1].test_accuracy
         last10 = mean_last_accuracy(metrics, 10)
@@ -114,13 +115,13 @@ class RunWriter:
     CKA probe (the first test rows). Leaving the ``with`` block closes the files
     and, after a clean run only, writes summary.json. It keeps no round's models."""
 
-    def __init__(self, cfg: ExperimentConfig, exp: Experiment, out_dir: str):
-        self.cfg, self.exp, self.out_dir = cfg, exp, out_dir
-        self.ckpt_dir = os.path.join(out_dir, "checkpoints")
+    def __init__(self, cfg: ExperimentConfig, exp: Experiment):
+        self.cfg, self.exp, self.out_dir = cfg, exp, cfg.out_dir
+        self.ckpt_dir = os.path.join(self.out_dir, "checkpoints")
         if cfg.save_checkpoints:
             self.probe_id = checkpoint.save_probe(
                 self.ckpt_dir, exp.test_set.features[:CKA_PROBE_SIZE])
-        self.files = {n: open(os.path.join(out_dir, n), "w") for n in _ROUND_FILES}
+        self.files = {n: open(os.path.join(self.out_dir, n), "w") for n in _ROUND_FILES}
         self.files["metrics.csv"].write(analysis.metrics_header(
             analysis.CSV_FORMAT, exp.global_params.num_layers))
 
@@ -144,22 +145,31 @@ class RunWriter:
             fh.close()
         if exc_type is None:
             _write_json(os.path.join(self.out_dir, "summary.json"),
-                        _summarize(self.exp, self.exp.metrics))
+                        _summarize(self.exp))
 
 
 def _experiment(cfg: ExperimentConfig, train, test) -> Experiment:
-    """``cfg``'s experiment: its clients partitioned and noised, untrained."""
-    return Experiment(
+    """``cfg``'s experiment: its clients partitioned and noised, untrained.
+    A client without samples is refused: training would stop at round 1 on
+    it, and its flip fraction is NaN."""
+    exp = Experiment(
         train, test, partition=cfg.partition, noise=cfg.noise,
         client_config=cfg.client, server_config=cfg.server,
         hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
         workers=cfg.resolved_workers())
+    empty = [a.client_id for a in exp.assignments if len(a) == 0]
+    if empty:
+        raise ValueError(f"clients {empty} get no samples")
+    return exp
 
 
-def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
-    """Train ``cfg``'s experiment into a RunWriter on ``out_dir``."""
+def _train_into(cfg: ExperimentConfig, train, test) -> list:
+    """Build ``cfg``'s experiment, write its echo into ``cfg.out_dir``, clear
+    the earlier run there and train through a RunWriter. A refused
+    experiment writes nothing."""
     exp = _experiment(cfg, train, test)
-    with RunWriter(cfg, exp, out_dir) as writer:
+    _clear_previous_run(_start_out_dir(cfg))
+    with RunWriter(cfg, exp) as writer:
         for round_idx in range(1, cfg.server.rounds + 1):
             # straight into the writer: no round's client models outlive it
             writer.write_round(*exp.run_round(round_idx))
@@ -167,13 +177,10 @@ def _train_into(cfg: ExperimentConfig, train, test, out_dir: str) -> list:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    out_dir = _start_out_dir(cfg)
-    _clear_previous_run(out_dir)
-    train, test = build_datasets(cfg)
-    metrics = _train_into(cfg, train, test, out_dir)
+    metrics = _train_into(cfg, *build_datasets(cfg))
     acc = metrics[-1].test_accuracy if metrics else float("nan")
     print(f"run complete: {len(metrics)} rounds, "
-          f"final accuracy {acc:.4f}, outputs in {out_dir}")
+          f"final accuracy {acc:.4f}, outputs in {cfg.out_dir}")
     return EXIT_OK
 
 
@@ -186,26 +193,26 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
                 f"aggregator {name!r} must be one of {', '.join(server.AGGREGATORS)}")
         if aggregators.count(name) > 1:
             raise ConfigError(f"aggregator {name!r} is listed more than once")
+    train, test = build_datasets(cfg)
+    # every sub-run has these clients: one without samples is refused
+    # before anything is written
+    _experiment(cfg, train, test)
     out_dir = _start_out_dir(cfg)
     # an earlier compare's table must not outlive a compare that fails
     table = os.path.join(out_dir, "comparison.csv")
     if os.path.isfile(table):
         os.remove(table)
-    train, test = build_datasets(cfg)
 
     columns: dict[str, list[float]] = {}
     for name in aggregators:
         # the proximal term defines FedProx; the other aggregators run
         # without it, and build_config fills FedProx's default mu
         document = config_to_dict(cfg)
+        document["out_dir"] = os.path.join(out_dir, name)
         document["server"]["aggregator"] = name
         if name != server.FEDPROX:
             document["client"]["prox_mu"] = 0.0
-        run_cfg = build_config(document)
-        sub_dir = os.path.join(out_dir, name)
-        os.makedirs(sub_dir, exist_ok=True)
-        _clear_previous_run(sub_dir)
-        metrics = _train_into(run_cfg, train, test, sub_dir)
+        metrics = _train_into(build_config(document), train, test)
         columns[name] = [m.test_accuracy for m in metrics]
         print(f"{name}: final accuracy "
               f"{columns[name][-1] if columns[name] else float('nan'):.4f}")
@@ -220,9 +227,6 @@ def cmd_compare(cfg: ExperimentConfig, aggregators: list[str]) -> int:
 
 def cmd_noise_preview(cfg: ExperimentConfig) -> int:
     exp = _experiment(cfg, *build_datasets(cfg))
-    empty = [a.client_id for a in exp.assignments if len(a) == 0]
-    if empty:  # run stops at round 1 on these, and their flip fraction is NaN
-        raise ValueError(f"clients {empty} get no samples")
     out_dir = _start_out_dir(cfg)  # after the check: a refusal writes nothing
     print(f"{'client':>6} {'samples':>8} {'rate':>8} {'realized':>9}")
     with open(os.path.join(out_dir, "noise_profile.csv"), "w") as fh:
@@ -247,8 +251,11 @@ def _write_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
     rounds = checkpoint.available_rounds(ckpt_base)
     if not rounds:
         raise FileNotFoundError(
-            f"no checkpoints under {ckpt_base}; run with "
-            f"save_checkpoints=true first (expected {ckpt_base}/round_NNNN/)")
+            f"no checkpoints under {ckpt_base} (expected round_NNNN/): a run "
+            f"saves round r only with save_checkpoints=true and r a multiple "
+            f"of checkpoint_every; this config has save_checkpoints="
+            f"{str(cfg.save_checkpoints).lower()}, rounds {cfg.server.rounds} "
+            f"and checkpoint_every {cfg.checkpoint_every}")
     if round_idx is None:
         round_idx = rounds[-1]
     elif round_idx not in rounds:

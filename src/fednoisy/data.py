@@ -56,15 +56,13 @@ class ClientAssignment:
     """One client's slice of the parent dataset plus its label state.
 
     ``true_labels`` keeps the pre-noise copy; ``noisy_labels`` are what the
-    client actually trains on. ``noise_rate`` is the target flip probability
-    this client was assigned (the realized fraction fluctuates around it).
+    client actually trains on.
     """
 
     client_id: int
     indices: np.ndarray
     true_labels: np.ndarray
     noisy_labels: np.ndarray
-    noise_rate: float = 0.0
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -364,5 +362,4 @@ def apply_symmetric_noise(assignment: ClientAssignment, rate: float,
     offsets = rng.integers(1, num_classes, size=n) if num_classes > 1 else np.zeros(n, dtype=np.int64)
     noisy = np.where(flip, (assignment.true_labels + offsets) % num_classes,
                      assignment.true_labels)
-    return replace(assignment, noisy_labels=noisy.astype(np.int64),
-                   noise_rate=float(rate))
+    return replace(assignment, noisy_labels=noisy.astype(np.int64))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednoisy import analysis, checkpoint, nn
+from fednoisy import checkpoint, nn
 from fednoisy.errors import DataFormatError
 from tests_util import flatten_params, model_stacks
 
@@ -106,7 +106,7 @@ def test_probe_round_trips_bit_for_bit(tmp_path_factory, rows, cols, data_):
     probe = np.array(values).reshape(rows + 1, cols)[:rows]
     base = tmp_path_factory.mktemp("probe")
     probe_id = checkpoint.save_probe(base, probe)
-    assert probe_id == analysis.probe_fingerprint(probe)
+    assert probe_id == checkpoint.probe_fingerprint(probe)
     assert os.listdir(base) == [checkpoint.PROBE_NAME]
     back = checkpoint.read_probe(base, {"probe_id": probe_id})
     assert back.dtype == np.float64 and back.shape == probe.shape
@@ -285,6 +285,9 @@ def test_manifest_with_mismatched_client_counts_rejected(tmp_path, changes):
     ("layer_shapes", [[4, 5], [0, 4]]),
     ("layer_shapes", [[4, 5.0], [3, 4]]),
     ("layer_shapes", "[[4, 5], [3, 4]]"),
+    ("layer_shapes", [[4, 5], [5, 2]]),  # the blob size of [[4, 5], [3, 4]]
+    ("num_clients", "2"),
+    ("num_clients", 2.0),
     ("round", "10"),
     ("round", 10.0),
     ("round", True),
@@ -295,7 +298,7 @@ def test_manifest_with_a_mistyped_key_names_key_and_path(tmp_path, key, value):
                                  [0.0, 1.0])
     manifest_path = edit_manifest(path, **{key: value})
     for read in (checkpoint.read_manifest, checkpoint.load_round):
-        with pytest.raises(DataFormatError, match=key) as err:
+        with pytest.raises(DataFormatError, match=f"{key} must be") as err:
             read(path)
         assert manifest_path in str(err.value)
 
@@ -305,6 +308,7 @@ def test_client_models_streams_the_blobs_in_order(tmp_path):
     path = checkpoint.save_round(tmp_path, 20, model(9), clients, [0.0] * 4)
     manifest = checkpoint.read_manifest(path)
     models = checkpoint.client_models(path, manifest)
+    assert len(models) == 4
     want = [c.flat.tobytes() for c in clients]
     assert [m.flat.tobytes() for m in models] == want
     # every pass reads the blobs again
@@ -321,6 +325,13 @@ def test_client_models_streams_the_blobs_in_order(tmp_path):
         replaced.flat.tobytes(), want[2]]
     with pytest.raises(FileNotFoundError, match="client_003.bin"):
         next(stream)
+    # and indexing reads a blob when the model is taken, not before
+    assert models[2].flat.tobytes() == want[2]
+    clients[0].flat.tofile(os.path.join(path, manifest["clients"][2]))
+    assert models[2].flat.tobytes() == want[0]
+    with pytest.raises(FileNotFoundError, match="client_003.bin"):
+        models[3]
+    assert len(models) == 4
 
 
 def test_truncated_blob_names_its_path(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 import fednoisy
 from fednoisy import analysis, checkpoint, cli, data, nn, server
 from fednoisy.cli import CKA_BLAS_THREADS, CKA_PROBE_SIZE, main
-from fednoisy.config import build_datasets, parse_config
+from fednoisy.config import build_config, build_datasets, parse_config
 from fednoisy.errors import NumericError
 from tests_util import blas_threads, write_idx_pair
 
@@ -230,7 +230,7 @@ def test_compare_saves_checkpoints_per_aggregator(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["compare", "--config", path,
                  "--aggregators", "fedavg,fed_ncl"]) == 0
-    probe_id = analysis.probe_fingerprint(
+    probe_id = checkpoint.probe_fingerprint(
         build_datasets(parse_config(path))[1].features[:CKA_PROBE_SIZE])
     for name in ("fedavg", "fed_ncl"):
         ckpt = out / name / "checkpoints"
@@ -290,6 +290,55 @@ def test_compare_rejects_a_repeated_aggregator(tmp_path, capsys):
     assert err.startswith("config error:") and "'fedavg'" in err
     assert "more than once" in err
     assert not out.exists()
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", [["run"],
+                                     ["compare", "--aggregators", "fedavg,fed_ncl"]])
+def test_a_client_without_samples_leaves_the_earlier_run(tmp_path, capsys,
+                                                         command):
+    out = tmp_path / "refused"
+    good = write_config(tmp_path, base_config(
+        out, save_checkpoints=True, checkpoint_every=1, server={"rounds": 2}))
+    assert main([command[0], "--config", good, *command[1:]]) == 0
+    before = tree_bytes(out)
+    bad = write_config(tmp_path, base_config(
+        out, partition={"kind": "class_skew"}, seed=0,
+        server={"num_clients": 20}), "bad.json")
+    empty = [a.client_id for a in preview_experiment(bad).assignments
+             if len(a) == 0]
+    assert len(empty) > 1
+    capsys.readouterr()
+    assert main([command[0], "--config", bad, *command[1:]]) == 1
+    assert f"clients {empty} get no samples" in capsys.readouterr().err
+    assert tree_bytes(out) == before
+
+
+def test_each_compare_sub_run_echoes_the_config_it_trained(tmp_path,
+                                                           monkeypatch):
+    out = tmp_path / "cmp_echo"
+    path = write_config(tmp_path, base_config(out, server={"rounds": 2}))
+    trained = {}
+    real = cli._train_into
+
+    def recording(cfg, *args):
+        trained[cfg.server.aggregator] = cfg
+        return real(cfg, *args)
+
+    monkeypatch.setattr(cli, "_train_into", recording)
+    assert main(["compare", "--config", path,
+                 "--aggregators", "fedavg,fedprox"]) == 0
+    assert sorted(trained) == ["fedavg", "fedprox"]
+    for name, cfg in trained.items():
+        echo = json.loads((out / name / "config_echo.json").read_text())
+        assert build_config(echo) == cfg
+        assert echo["out_dir"] == str(out / name)
+        assert echo["server"]["aggregator"] == name
+        assert (echo["client"]["prox_mu"] > 0) == (name == "fedprox")
 
 
 # ------------------------------------------------------------ noise-preview
@@ -453,6 +502,20 @@ def test_cka_without_checkpoints_fails_with_paths(tmp_path, capsys):
     assert "save_checkpoints=true" in capsys.readouterr().err
 
 
+def test_cka_without_saved_rounds_names_both_causes(tmp_path, capsys):
+    # checkpoints on, but 3 rounds never reach the default checkpoint_every
+    out = tmp_path / "short"
+    path = write_config(tmp_path, base_config(out, save_checkpoints=True,
+                                              server={"rounds": 3}))
+    assert main(["run", "--config", path]) == 0
+    assert os.listdir(out / "checkpoints") == [checkpoint.PROBE_NAME]
+    capsys.readouterr()
+    assert main(["cka", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "run with save_checkpoints=true first" not in err
+    assert "save_checkpoints=true, rounds 3 and checkpoint_every 10" in err
+
+
 def test_cka_outputs_deterministic(tmp_path):
     out, path = cka_run(tmp_path)
     assert main(["cka", "--config", path, "--round", "4"]) == 0
@@ -536,7 +599,7 @@ def test_probe_file_is_the_first_test_rows(tmp_path, kind, test_size):
     for round_idx in (2, 4):
         manifest = checkpoint.read_manifest(
             checkpoint.round_dir(out / "checkpoints", round_idx))
-        assert manifest["probe_id"] == analysis.probe_fingerprint(want)
+        assert manifest["probe_id"] == checkpoint.probe_fingerprint(want)
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "idx"])

@@ -520,7 +520,7 @@ def test_relabeled_only_keeps_exactly_the_relabeled_samples():
     assert np.array_equal(out.indices, a.indices[mask])
     assert np.array_equal(out.true_labels, a.true_labels[mask])
     assert np.array_equal(out.noisy_labels, preds[mask])
-    assert out.client_id == a.client_id and out.noise_rate == a.noise_rate
+    assert out.client_id == a.client_id
 
 
 def test_relabeled_only_keeps_everything_when_nothing_relabeled():
