@@ -84,7 +84,7 @@ def cka_layer_report(client_models: Sequence[nn.ModelParams],
     The layers are split into passes (:func:`_cka_passes`) whose widths add
     up to at most the widest layer's. Each pass runs ``client_models[0]``
     to ``client_models[C-1]`` forward, then the global model, so a sequence
-    that reads a model when indexed (:func:`checkpoint.client_models`) keeps
+    that reads a model when indexed (:class:`checkpoint.ClientModels`) keeps
     one alive at a time, and only the pass's features are held. Every entry
     is :func:`linear_cka` of the two models' features, computed by
     :func:`_layer_cka` with a different summation order.
@@ -271,6 +271,8 @@ def format_round(m: RoundMetrics, fmt: str) -> str:
             _f(m.reliability[i]), str(int(m.flagged[i])), str(int(m.corrected[i])),
             str(m.n_relabeled[i]), *(_f(row[i]) for row in m.weights)]) + "\n"
             for i, cid in enumerate(m.client_ids))
+    if fmt != JSONL_FORMAT:
+        raise ValueError(f"unknown metrics format {fmt!r}")
     return json.dumps({
         "round": m.round_idx,
         "test_accuracy": float(_f(m.test_accuracy)),

@@ -203,7 +203,11 @@ def read_model(path, name: str, manifest: dict) -> nn.ModelParams:
     return nn.ModelParams.from_flat(flat, shapes)
 
 
-class _ClientModels(Sequence):
+class ClientModels(Sequence):
+    """A round directory's client models as a sized sequence. Indexing reads
+    the client's blob then, so every pass reads the blobs again, and a pass
+    that drops each model before the next keeps one alive at a time."""
+
     def __init__(self, path, manifest: dict):
         self.path, self.manifest = path, manifest
 
@@ -214,18 +218,11 @@ class _ClientModels(Sequence):
         return read_model(self.path, self.manifest["clients"][c], self.manifest)
 
 
-def client_models(path, manifest: dict) -> Sequence[nn.ModelParams]:
-    """The manifest's client models as a sized sequence. Indexing reads the
-    client's blob then, so every pass reads the blobs again, and a pass
-    that drops each model before the next keeps one alive at a time."""
-    return _ClientModels(path, manifest)
-
-
 def load_round(path) -> tuple[nn.ModelParams, list[nn.ModelParams], list[float], int]:
     """Returns (global, clients, noise_rates, round_idx) for a round directory."""
     manifest = read_manifest(path)
     return (read_model(path, manifest["global"], manifest),
-            list(client_models(path, manifest)), manifest["noise_rates"],
+            list(ClientModels(path, manifest)), manifest["noise_rates"],
             manifest["round"])
 
 

@@ -125,7 +125,7 @@ class RunWriter:
         self.files["metrics.csv"].write(analysis.metrics_header(
             analysis.CSV_FORMAT, exp.global_params.num_layers))
 
-    def write_round(self, metrics, updates, new_global) -> None:
+    def write_round(self, metrics, updates) -> None:
         texts = [analysis.format_round(metrics, fmt) for fmt in _METRIC_FORMATS]
         texts.append(f"round {metrics.round_idx}: {metrics.wall_clock:.3f}s\n")
         for fh, text in zip(self.files.values(), texts, strict=True):
@@ -133,7 +133,8 @@ class RunWriter:
             fh.flush()
         if (self.cfg.save_checkpoints
                 and metrics.round_idx % self.cfg.checkpoint_every == 0):
-            checkpoint.save_round(self.ckpt_dir, metrics.round_idx, new_global,
+            checkpoint.save_round(self.ckpt_dir, metrics.round_idx,
+                                  self.exp.global_params,
                                   [u.params for u in updates],
                                   self.exp.noise_rates, probe_id=self.probe_id)
 
@@ -272,7 +273,7 @@ def _write_cka(cfg: ExperimentConfig, round_idx: int | None) -> int:
     noisy_ids = [c for c, r in enumerate(manifest["noise_rates"]) if r > 0]
     # streamed: one client model is alive at a time
     report = analysis.cka_layer_report(
-        checkpoint.client_models(path, manifest), global_params, probe,
+        checkpoint.ClientModels(path, manifest), global_params, probe,
         noisy_ids)
 
     names = [f"client{c}" for c in range(report.num_clients)] + ["global"]

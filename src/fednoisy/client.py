@@ -49,7 +49,6 @@ class ClientUpdate:
     params: nn.ModelParams
     h: float              # summed cross-entropy of local (feature, label) pairs
     n_samples: int
-    round_idx: int
 
 
 def data_quality_loss(eval_params: nn.ModelParams, assignment: ClientAssignment,
@@ -77,16 +76,14 @@ class Cohort:
         return tuple(a.client_id for a in self.members)
 
 
-def local_train(global_params: nn.ModelParams,
-                clients: ClientAssignment | Cohort, dataset: LabeledDataset,
-                config: ClientConfig, round_idx: int, seed: int
-                ) -> ClientUpdate | list[ClientUpdate]:
-    """Mini-batch SGD on each client's (features, noisy_labels) shard.
+def local_train(global_params: nn.ModelParams, cohort: Cohort,
+                dataset: LabeledDataset, config: ClientConfig, round_idx: int,
+                seed: int) -> list[ClientUpdate]:
+    """Mini-batch SGD on each member's (features, noisy_labels) shard.
 
-    A bare assignment returns its ``ClientUpdate``; a ``Cohort`` of k clients
-    returns their k updates in member order, each bit for bit what the
-    client alone would return. Deterministic given (seed, client_id,
-    round_idx) per client.
+    Returns the cohort's k updates in member order, each bit for bit what the
+    client would get in a cohort of its own. Deterministic given (seed,
+    client_id, round_idx) per client.
 
     The cohort trains in lockstep: each batch position is one stacked
     ``nn.loss_and_grad`` over a (k, B, dim) batch and one update of a
@@ -97,15 +94,15 @@ def local_train(global_params: nn.ModelParams,
     gradient block (and, with ``prox_mu`` > 0, one scratch block for the
     proximal term) serves every step.
 
-    With ``h_on`` = global, ``h`` reuses the first step's forward pass of the
-    received model: that batch's row losses, plus one more pass over the rest
-    of the first epoch's order, give ``data_quality_loss(global_params, ...)``
-    (bit for bit wherever the BLAS rounds a row the same in a smaller batch).
+    Each ``h`` is the member's ``data_quality_loss``. With ``h_on`` = local
+    they come from one stacked ``nn.cross_entropy`` of the trained block
+    over the members' shards. With ``h_on`` = global, ``h`` reuses the first
+    step's forward pass of the received model: that batch's row losses, plus
+    one more pass over the rest of the first epoch's order, give
+    ``data_quality_loss(global_params, ...)`` (bit for bit wherever the BLAS
+    rounds a row the same in a smaller batch).
     """
-    if isinstance(clients, ClientAssignment):
-        return local_train(global_params, Cohort((clients,)), dataset, config,
-                           round_idx, seed)[0]
-    members = clients.members
+    members = cohort.members
     n = len(members[0])
     for a in members:
         if len(a) == 0:
@@ -157,7 +154,7 @@ def local_train(global_params: nn.ModelParams,
 
     models = [nn.ModelParams.from_flat(row, params.shapes) for row in params.flat]
     if h_rows is None:
-        h = [data_quality_loss(m, a, dataset) for m, a in zip(models, members)]
+        h = nn.cross_entropy(params, dataset.features[indices], labels)[0] * n
     else:
         if n > b:
             nn.cross_entropy(global_params, dataset.features[first_idx[:, b:]],
@@ -166,7 +163,7 @@ def local_train(global_params: nn.ModelParams,
         losses[cols, first_order] = h_rows
         # data_quality_loss's sum, over each client's rows in assignment order
         h = losses.mean(axis=1) * n
-    return [ClientUpdate(a.client_id, m, float(h_c), n, round_idx)
+    return [ClientUpdate(a.client_id, m, float(h_c), n)
             for a, m, h_c in zip(members, models, h)]
 
 

@@ -171,6 +171,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(noise.std > 0, "noise.std", "must be > 0")
     _require(0 <= noise.low < noise.high <= 1, "noise.low",
              "need 0 <= low < high <= 1")
+    if noise.mode == data.TRUNC_GAUSS:  # the sampler's own check, no draws
+        try:
+            data.sample_truncated_gaussian(noise.mean, noise.std, noise.low,
+                                           noise.high, 0, count=0)
+        except ValueError as err:
+            raise ConfigError(f"noise.mean: {err}") from err
     if noise.mode == data.FIXED:
         _require(noise.rates is not None, "noise.rates",
                  "required when noise.mode is fixed")
@@ -208,6 +214,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "synthetic datasets need an explicit size")
         _require(cfg.test_size >= 1, "test_size", "must be >= 1")
     _require(cfg.seed >= 0, "seed", "must be >= 0")
+    _require(cfg.out_dir != "", "out_dir", "must not be empty")
     _require(cfg.workers >= 0, "workers", "must be >= 0")
     _require(cfg.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
     if noise.mode == data.FIXED:

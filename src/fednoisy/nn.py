@@ -129,9 +129,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.shapes)
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 def _check_congruent(a: ModelParams, b: ModelParams) -> None:
     if a.shapes != b.shapes:
@@ -199,14 +196,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
                   row_losses: np.ndarray | None = None
-                  ) -> tuple[float, list[np.ndarray], np.ndarray]:
+                  ) -> tuple[float | np.ndarray, list[np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy of a labelled batch under ``params``.
 
     Also returns the per-layer activations and the log-probabilities, which
     :func:`loss_and_grad` backpropagates through. Each row's loss is written
-    into ``row_losses`` (a float64 vector of the batch's length) when given;
-    the mean is their mean. On a cohort (``labels`` of shape (k, B)) the
-    means are a (k,) array and ``row_losses`` is (k, B).
+    into ``row_losses`` (a float64 array of ``labels``' shape) when given;
+    the mean over the last axis is their mean: a scalar for one batch, a
+    (k,) array for a cohort (``labels`` of shape (k, B)).
     """
     labels = np.asarray(labels)
     if labels.shape[-1] == 0:
@@ -218,14 +215,13 @@ def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
     log_probs = _log_softmax(logits)
     picked = log_probs.reshape(-1)[_label_positions(labels, k)]
     rows = np.negative(picked, out=row_losses)
-    means = rows.mean(axis=-1)
-    return (float(means) if rows.ndim == 1 else means), activations, log_probs
+    return rows.mean(axis=-1), activations, log_probs
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
                   labels: np.ndarray, out: ModelParams | None = None,
                   row_losses: np.ndarray | None = None
-                  ) -> tuple[float, ModelParams]:
+                  ) -> tuple[float | np.ndarray, ModelParams]:
     """Mean softmax cross-entropy and its exact backprop gradient, laid out
     like ``params``.
 

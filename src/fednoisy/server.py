@@ -138,19 +138,17 @@ def reliability_scores(updates: list[ClientUpdate],
                              float(q.mean()), float(q.std()), layers)
 
 
-def detect_noisy(scores: ReliabilityScores,
-                 beta: float) -> tuple[set[int], set[int]]:
+def detect_noisy(scores: ReliabilityScores, beta: float) -> set[int]:
     """Flag clients whose q exceeds the mean by more than beta std-devs.
 
     One-sided: only high scores flag. With identical scores (or one client)
     the deviation is exactly zero, so nothing flags.
     """
     q = scores.q
-    ids = scores.client_ids
     if q.size < 2 or np.ptp(q) == 0.0:
-        return set(), set(ids)
-    noisy = {cid for cid, v in zip(ids, q) if v - scores.mean > beta * scores.std}
-    return noisy, set(ids) - noisy
+        return set()
+    return {cid for cid, v in zip(scores.client_ids, q)
+            if v - scores.mean > beta * scores.std}
 
 
 def select_s_corr(history: list[set[int]], alpha: float,
@@ -304,8 +302,8 @@ class Experiment:
             w = np.tile(fedavg_weights(updates, unweighted=False), (n_layers, 1))
         return aggregate_layerwise(updates, w), w
 
-    def _correct_labels(self, new_global: nn.ModelParams
-                        ) -> tuple[set[int], dict[int, int]]:
+    def _correct_labels(self, new_global: nn.ModelParams) -> dict[int, int]:
+        """Relabel the clients of ``s_corr``; their relabel counts."""
         cfg = self.config
         self.s_corr = select_s_corr(self.history, cfg.alpha, cfg.t_corr)
         relabeled: dict[int, int] = {}
@@ -313,25 +311,25 @@ class Experiment:
             self.assignments[cid], relabeled[cid] = apply_label_correction(
                 self.assignments[cid], new_global, self.dataset, cfg.eta,
                 self.client_config.train_on)
-        return self.s_corr, relabeled
+        return relabeled
 
-    def run_round(self, round_idx: int) -> tuple[RoundMetrics, list, nn.ModelParams]:
+    def run_round(self, round_idx: int) -> tuple[RoundMetrics, list[ClientUpdate]]:
         """One full round: train, score, detect, aggregate, maybe correct.
-        Returns the round's metrics, client updates and new global model."""
+        Returns the round's metrics and client updates; the new global model
+        is ``global_params``."""
         t0 = time.perf_counter()
         cfg = self.config
         updates = self._train_clients(round_idx)
         scores = reliability_scores(updates, self.global_params)
-        noisy, _ = detect_noisy(scores, cfg.beta)
+        noisy = detect_noisy(scores, cfg.beta)
         self.history.append(noisy)
 
         new_global, weight_matrix = self._aggregate(updates, scores, noisy,
                                                     round_idx)
 
-        corrected_ids: set[int] = set()
-        relabeled: dict[int, int] = {}
+        relabeled: dict[int, int] = {}   # by corrected client
         if cfg.aggregator == FED_NCL and round_idx == cfg.t_corr:
-            corrected_ids, relabeled = self._correct_labels(new_global)
+            relabeled = self._correct_labels(new_global)
 
         metrics = RoundMetrics(
             round_idx=round_idx,
@@ -340,13 +338,13 @@ class Experiment:
             divergence=[float(v) for v in scores.divergence],
             reliability=[float(v) for v in scores.q],
             flagged=[u.client_id in noisy for u in updates],
-            corrected=[u.client_id in corrected_ids for u in updates],
+            corrected=[u.client_id in relabeled for u in updates],
             n_relabeled=[relabeled.get(u.client_id, 0) for u in updates],
             weights=[[float(v) for v in row] for row in weight_matrix],
             wall_clock=time.perf_counter() - t0)
         self.global_params = new_global
         self.metrics.append(metrics)
-        return metrics, updates, new_global
+        return metrics, updates
 
     def run(self) -> list[RoundMetrics]:
         for round_idx in range(1, self.config.rounds + 1):

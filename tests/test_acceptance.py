@@ -181,7 +181,7 @@ def test_criterion_2_aggregator_oracles():
         for cid in range(c):
             p = nn.ModelParams([rng.normal(size=shape)],
                                [rng.normal(size=shape[0])])
-            updates.append(ClientUpdate(cid, p, 1.0, 1, 1))
+            updates.append(ClientUpdate(cid, p, 1.0, 1))
         pct = float(rng.uniform(0, 49.9))
         got = aggregate_trimmed_mean(updates, pct)
         m = int(np.floor(pct / 100.0 * c))
@@ -198,7 +198,7 @@ def test_criterion_2_aggregator_oracles():
     updates = []
     for cid in range(8):
         p = nn.init_params([4, 5, 3], cid + 100)
-        updates.append(ClientUpdate(cid, p, 1.0, int(rng.integers(1, 40)), 1))
+        updates.append(ClientUpdate(cid, p, 1.0, int(rng.integers(1, 40))))
     sizes = np.array([u.n_samples for u in updates], dtype=float)
     wgt = sizes / sizes.sum()
     got = aggregate_fedavg(updates)
@@ -283,7 +283,7 @@ def test_criterion_5_cka_depth_trend():
                               num_clients=10, hidden=(64, 32, 16))
         for r in range(1, 30):
             exp.run_round(r)
-        _, final_updates, _ = exp.run_round(30)
+        _, final_updates = exp.run_round(30)
         client_models = [u.params for u in final_updates]
         probe = exp.test_set.features[:512]
         rep = analysis.cka_layer_report(client_models, exp.global_params,

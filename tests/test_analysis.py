@@ -168,7 +168,7 @@ def test_report_runs_each_pass_up_to_its_last_layer(monkeypatch):
 
 
 class Reloading:
-    """A sized sequence that, like ``checkpoint.client_models``, makes a
+    """A sized sequence that, like ``checkpoint.ClientModels``, makes a
     fresh model on every access. A pass starts at index 0; ``live``
     records, as each model is made, how many it made before are still
     alive."""
@@ -344,3 +344,8 @@ def test_metrics_writing_deterministic(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         analysis.write_metrics([], tmp_path / "m.xml", "xml")
+
+
+def test_format_round_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown metrics format 'xml'"):
+        analysis.format_round(round_metrics(1), "xml")

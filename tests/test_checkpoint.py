@@ -307,7 +307,7 @@ def test_client_models_streams_the_blobs_in_order(tmp_path):
     clients = [model(s) for s in range(10, 14)]
     path = checkpoint.save_round(tmp_path, 20, model(9), clients, [0.0] * 4)
     manifest = checkpoint.read_manifest(path)
-    models = checkpoint.client_models(path, manifest)
+    models = checkpoint.ClientModels(path, manifest)
     assert len(models) == 4
     want = [c.flat.tobytes() for c in clients]
     assert [m.flat.tobytes() for m in models] == want

@@ -91,6 +91,26 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "noise-preview"])
+def test_trunc_gauss_window_without_mass_exits_2(tmp_path, capsys, command):
+    # a mean 1e4 std above the window: the sampler's CDF difference is 0
+    path = write_config(tmp_path, base_config(
+        tmp_path / "o", noise={"mode": "trunc_gauss", "mean": 100,
+                               "std": 0.01}))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "noise.mean" in err and "no probability mass" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_empty_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, base_config(""))
+    assert main(["run", "--config", path]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_run_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     path = write_config(tmp_path, base_config(out1))

@@ -28,6 +28,13 @@ def fresh_params(ds, hidden=(8,), seed=0):
     return nn.init_params([ds.dim, *hidden, ds.num_classes], seed)
 
 
+def train_alone(g, a, ds, cfg, round_idx, seed):
+    """``local_train`` of a cohort of one: the client's update."""
+    [update] = client.local_train(g, client.Cohort((a,)), ds, cfg, round_idx,
+                                  seed)
+    return update
+
+
 # ------------------------------------------------------------- local_train
 
 def test_zero_lr_returns_global_bit_exact():
@@ -35,7 +42,7 @@ def test_zero_lr_returns_global_bit_exact():
     a = whole_dataset_assignment(ds)
     g = fresh_params(ds)
     cfg = ClientConfig(lr=0.0, local_epochs=2, batch_size=16)
-    update = client.local_train(g, a, ds, cfg, round_idx=1, seed=0)
+    update = train_alone(g, a, ds, cfg, round_idx=1, seed=0)
     assert all(np.array_equal(w1, w2)
                for w1, w2 in zip(update.params.weights, g.weights))
     assert update.n_samples == len(ds)
@@ -50,7 +57,7 @@ def test_single_step_matches_composed_primitives():
                               a.noisy_labels[:1])
     g = fresh_params(ds)
     cfg = ClientConfig(lr=0.05, local_epochs=1, batch_size=1)
-    update = client.local_train(g, a, ds, cfg, round_idx=0, seed=3)
+    update = train_alone(g, a, ds, cfg, round_idx=0, seed=3)
     _, grad = nn.loss_and_grad(g, ds.features[a.indices], a.noisy_labels)
     want = nn.sgd_step(g, grad, 0.05)
     assert all(np.array_equal(w1, w2)
@@ -64,7 +71,7 @@ def test_local_train_never_mutates_global():
     a = whole_dataset_assignment(ds)
     g = fresh_params(ds)
     snapshot = g.copy()
-    client.local_train(g, a, ds, ClientConfig(local_epochs=1), 1, seed=0)
+    train_alone(g, a, ds, ClientConfig(local_epochs=1), 1, seed=0)
     assert all(np.array_equal(w1, w2) for w1, w2 in zip(g.weights, snapshot.weights))
     assert all(np.array_equal(b1, b2) for b1, b2 in zip(g.biases, snapshot.biases))
 
@@ -75,7 +82,7 @@ def test_local_train_matches_manual_sgd_loop():
     a = whole_dataset_assignment(ds, client_id=5)
     g = fresh_params(ds)
     cfg = ClientConfig(lr=0.02, local_epochs=3, batch_size=8)
-    update = client.local_train(g, a, ds, cfg, round_idx=2, seed=11)
+    update = train_alone(g, a, ds, cfg, round_idx=2, seed=11)
 
     rng = np.random.default_rng((11, 5, 2))
     x, y = ds.features[a.indices], a.noisy_labels
@@ -118,11 +125,11 @@ def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
                     grad.flat + mu * (params.flat - g.flat), g.shapes)
             params = nn.sgd_step(params, grad, lr)
 
-    if not params.all_finite():
+    if not np.isfinite(params.flat).all():
         with pytest.raises(NumericError):
-            client.local_train(g, a, ds, cfg, round_idx=4, seed=seed)
+            train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
         return
-    update = client.local_train(g, a, ds, cfg, round_idx=4, seed=seed)
+    update = train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
     assert np.array_equal(update.params.flat, params.flat)
 
 
@@ -148,15 +155,14 @@ def test_cohort_equals_one_client_calls_bitwise(k, n, batch, epochs, mu, h_on,
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu, h_on=h_on)
 
-    singles = [client.local_train(g, a, ds, cfg, round_idx=3, seed=seed)
+    singles = [train_alone(g, a, ds, cfg, round_idx=3, seed=seed)
                for a in members]
     cohort = client.Cohort(tuple(members))
     assert cohort.client_id == tuple(a.client_id for a in members)
     updates = client.local_train(g, cohort, ds, cfg, round_idx=3, seed=seed)
     assert len(updates) == k
     for got, want in zip(updates, singles):
-        assert (got.client_id, got.n_samples, got.round_idx) == \
-            (want.client_id, n, 3)
+        assert (got.client_id, got.n_samples) == (want.client_id, n)
         assert got.params.flat.tobytes() == want.params.flat.tobytes()
         assert got.h == want.h
 
@@ -178,7 +184,7 @@ def test_cohort_equals_one_client_calls_on_benchmark_shapes(n, batch, epochs):
     updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
                                  round_idx=3, seed=1)
     for a, got in zip(members, updates):
-        want = client.local_train(g, a, ds, cfg, round_idx=3, seed=1)
+        want = train_alone(g, a, ds, cfg, round_idx=3, seed=1)
         assert got.params.flat.tobytes() == want.params.flat.tobytes()
         assert got.h == want.h
 
@@ -211,9 +217,9 @@ def test_cohort_names_its_first_diverged_client():
                        match="^client 2 diverged to non-finite parameters$"):
         client.local_train(g, client.Cohort(members), ds, cfg, 1, seed=0)
     with pytest.raises(NumericError, match="^client 3 diverged"):
-        client.local_train(g, members[3], ds, cfg, 1, seed=0)
+        train_alone(g, members[3], ds, cfg, 1, seed=0)
     ok = client.local_train(g, client.Cohort(members[:2]), ds, cfg, 1, seed=0)
-    assert all(u.params.all_finite() for u in ok)
+    assert all(np.isfinite(u.params.flat).all() for u in ok)
 
 
 def traced_peak(fn):
@@ -238,7 +244,7 @@ def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
     def train(epochs):   # two steps of 2 rows an epoch
         cfg = ClientConfig(lr=0.01, local_epochs=epochs, batch_size=2,
                            prox_mu=mu)
-        client.local_train(g, a, ds, cfg, round_idx=1, seed=0)
+        train_alone(g, a, ds, cfg, round_idx=1, seed=0)
 
     assert traced_peak(lambda: train(20)) <= traced_peak(lambda: train(1)) + 4096
 
@@ -265,7 +271,7 @@ def test_prox_term_pulls_toward_global():
     g = fresh_params(ds)
     dists = []
     for mu in [0.0, 1.0, 10.0]:
-        u = client.local_train(
+        u = train_alone(
             g, a, ds, ClientConfig(lr=0.05, local_epochs=5, prox_mu=mu), 1, seed=7)
         dists.append(nn.param_sq_distance(u.params, g))
     assert dists[2] < dists[1] < dists[0]
@@ -274,8 +280,8 @@ def test_prox_term_pulls_toward_global():
 def test_zero_local_epochs_rejected():
     ds = blob_dataset()
     with pytest.raises(ValueError, match="local_epochs"):
-        client.local_train(fresh_params(ds), whole_dataset_assignment(ds), ds,
-                           ClientConfig(local_epochs=0), 1, seed=0)
+        train_alone(fresh_params(ds), whole_dataset_assignment(ds), ds,
+                    ClientConfig(local_epochs=0), 1, seed=0)
 
 
 def test_empty_assignment_rejected():
@@ -284,7 +290,7 @@ def test_empty_assignment_rejected():
                               np.array([], dtype=np.int64),
                               np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
-        client.local_train(fresh_params(ds), a, ds, ClientConfig(), 1, seed=0)
+        train_alone(fresh_params(ds), a, ds, ClientConfig(), 1, seed=0)
 
 
 def test_local_train_deterministic():
@@ -292,8 +298,8 @@ def test_local_train_deterministic():
     a = whole_dataset_assignment(ds)
     g = fresh_params(ds)
     cfg = ClientConfig(local_epochs=2)
-    u1 = client.local_train(g, a, ds, cfg, 3, seed=42)
-    u2 = client.local_train(g, a, ds, cfg, 3, seed=42)
+    u1 = train_alone(g, a, ds, cfg, 3, seed=42)
+    u2 = train_alone(g, a, ds, cfg, 3, seed=42)
     assert all(np.array_equal(w1, w2)
                for w1, w2 in zip(u1.params.weights, u2.params.weights))
     assert u1.h == u2.h
@@ -318,7 +324,7 @@ def test_h_from_first_step_equals_data_quality_loss(n, batch, epochs, mu, dim,
     g = nn.init_params([dim, hidden, k], seed)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu)
-    update = client.local_train(g, a, ds, cfg, round_idx=1, seed=seed)
+    update = train_alone(g, a, ds, cfg, round_idx=1, seed=seed)
     assert update.h == pytest.approx(client.data_quality_loss(g, a, ds),
                                      rel=1e-13, abs=0)
 
@@ -334,7 +340,7 @@ def test_h_from_first_step_bitwise_on_benchmark_shapes(n, batch):
         idx = rng.permutation(len(ds))[:n]
         a = data.ClientAssignment(client_id, idx, ds.labels[idx],
                                   rng.integers(0, 10, n))
-        update = client.local_train(g, a, ds, cfg, round_idx=3, seed=1)
+        update = train_alone(g, a, ds, cfg, round_idx=3, seed=1)
         assert update.h == client.data_quality_loss(g, a, ds)
 
 
@@ -355,9 +361,8 @@ def test_h_on_global_runs_the_received_model_once_per_row(n, batch, rows,
 
     monkeypatch.setattr(nn, "forward", counted)
     monkeypatch.setattr(client, "data_quality_loss", None)
-    client.local_train(fresh_params(ds), a, ds,
-                       ClientConfig(local_epochs=1, batch_size=batch), 1,
-                       seed=0)
+    train_alone(fresh_params(ds), a, ds,
+                ClientConfig(local_epochs=1, batch_size=batch), 1, seed=0)
     assert calls == rows
 
 
@@ -365,11 +370,38 @@ def test_h_on_local_is_data_quality_loss_of_the_trained_model():
     ds = blob_dataset()
     a = data.apply_symmetric_noise(whole_dataset_assignment(ds), 0.4, 3, seed=1)
     g = fresh_params(ds)
-    update = client.local_train(
+    update = train_alone(
         g, a, ds, ClientConfig(local_epochs=3, batch_size=16, h_on="local"),
         2, seed=4)
     assert update.h == client.data_quality_loss(update.params, a, ds)
     assert update.h != client.data_quality_loss(g, a, ds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, _COHORT), st.integers(1, 129), st.sampled_from([3, 17, 784]),
+       st.sampled_from([(8,), (64, 32)]), st.integers(1, 64),
+       st.integers(0, 2**32 - 1))
+def test_h_on_local_is_each_members_data_quality_loss_bitwise(k, n, dim,
+                                                             hidden, batch,
+                                                             seed):
+    # one stacked cross_entropy over the trained (k, P) block: each member
+    # gets the bits of its own pass
+    rng = np.random.default_rng(seed)
+    rows = n + 7
+    ds = data.LabeledDataset(rng.normal(size=(rows, dim)),
+                             rng.integers(0, 10, rows), 10)
+    members = []
+    for cid in range(k):
+        idx = rng.choice(rows, size=n, replace=False)
+        members.append(data.ClientAssignment(cid, idx, ds.labels[idx],
+                                             rng.integers(0, 10, n)))
+    g = nn.init_params([dim, *hidden, 10], seed)
+    cfg = ClientConfig(lr=0.05, local_epochs=1, batch_size=batch,
+                       h_on="local")
+    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
+                                 round_idx=1, seed=seed)
+    for a, u in zip(members, updates):
+        assert u.h == client.data_quality_loss(u.params, a, ds)
 
 
 def test_h_uniform_logit_model():
@@ -410,7 +442,7 @@ def test_h_higher_for_flipped_client():
         ds = blob_dataset(k=3, per_class=60, dim=8, spread=0.6, seed=seed)
         trainer = whole_dataset_assignment(ds)
         g = fresh_params(ds, hidden=(12,), seed=seed)
-        trained = client.local_train(
+        trained = train_alone(
             g, trainer, ds, ClientConfig(lr=0.1, local_epochs=8, batch_size=30),
             1, seed=seed).params
         clean = whole_dataset_assignment(ds)
@@ -428,7 +460,7 @@ def test_h_monotone_in_flip_rate():
     for seed in range(10):
         ds = blob_dataset(k=3, per_class=60, dim=8, spread=0.6, seed=seed)
         g = fresh_params(ds, hidden=(12,), seed=seed)
-        trained = client.local_train(
+        trained = train_alone(
             g, whole_dataset_assignment(ds),
             ds, ClientConfig(lr=0.1, local_epochs=8, batch_size=30), 1,
             seed=seed).params

@@ -22,13 +22,13 @@ def scalar_params(value, bias=0.0):
                           [np.array([float(bias)])])
 
 
-def scalar_update(cid, value, n=1, h=0.0, rnd=1):
-    return ClientUpdate(cid, scalar_params(value), h, n, rnd)
+def scalar_update(cid, value, n=1, h=0.0):
+    return ClientUpdate(cid, scalar_params(value), h, n)
 
 
 def random_update(cid, rng, sizes=(3, 4, 2), n=10, h=1.0):
     params = nn.init_params(list(sizes), int(rng.integers(1 << 30)))
-    return ClientUpdate(cid, params, h, n, 1)
+    return ClientUpdate(cid, params, h, n)
 
 
 def scores_from(q_values):
@@ -127,7 +127,7 @@ def test_trimmed_mean_invalid_pct():
 
 def test_reliability_zero_divergence_zero_q():
     g = scalar_params(2.0)
-    update = ClientUpdate(0, scalar_params(2.0), 5.0, 10, 1)
+    update = ClientUpdate(0, scalar_params(2.0), 5.0, 10)
     scores = reliability_scores([update], g)
     assert scores.q[0] == 0.0
     assert scores.divergence[0] == 0.0
@@ -136,7 +136,7 @@ def test_reliability_zero_divergence_zero_q():
 def test_reliability_hand_arithmetic():
     g = scalar_params(0.0)
     # distance^2 = 2 via weight sqrt(2); h = 3; n = 6 -> q = 1
-    update = ClientUpdate(0, scalar_params(np.sqrt(2.0)), 3.0, 6, 1)
+    update = ClientUpdate(0, scalar_params(np.sqrt(2.0)), 3.0, 6)
     scores = reliability_scores([update], g)
     assert scores.q[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -144,15 +144,15 @@ def test_reliability_hand_arithmetic():
 def test_reliability_requires_positive_sample_count():
     g = scalar_params(0.0)
     with pytest.raises(ValueError):
-        reliability_scores([ClientUpdate(0, scalar_params(1.0), 1.0, 0, 1)], g)
+        reliability_scores([ClientUpdate(0, scalar_params(1.0), 1.0, 0)], g)
 
 
 # ---------------------------------------------------------------- detection
 
 def test_detect_all_equal_scores_flags_nothing():
-    noisy, clean = detect_noisy(scores_from([1.0] * 10), beta=0.6)
+    noisy = detect_noisy(scores_from([1.0] * 10), beta=0.6)
     assert noisy == set()
-    assert clean == set(range(10))
+    assert set(range(10)) - noisy == set(range(10))
 
 
 def test_detect_hand_computed_outlier():
@@ -160,35 +160,35 @@ def test_detect_hand_computed_outlier():
     scores = scores_from(q)
     assert scores.mean == pytest.approx(1.9)
     assert scores.std == pytest.approx(2.7)
-    noisy, clean = detect_noisy(scores, beta=0.6)
+    noisy = detect_noisy(scores, beta=0.6)
     assert noisy == {9}
-    assert clean == set(range(9))
+    assert set(range(10)) - noisy == set(range(9))
 
 
 def test_detect_huge_beta_flags_nothing():
-    noisy, _ = detect_noisy(scores_from([1.0, 5.0, 2.0, 8.0]), beta=1e12)
+    noisy = detect_noisy(scores_from([1.0, 5.0, 2.0, 8.0]), beta=1e12)
     assert noisy == set()
 
 
 def test_detect_single_client_flags_nothing():
-    noisy, clean = detect_noisy(scores_from([3.0]), beta=0.6)
-    assert noisy == set() and clean == {0}
+    noisy = detect_noisy(scores_from([3.0]), beta=0.6)
+    assert noisy == set() and {0} - noisy == {0}
 
 
 def test_detect_one_sided():
     rng = np.random.default_rng(5)
     for _ in range(20):
         scores = scores_from(rng.exponential(size=12))
-        noisy, _ = detect_noisy(scores, beta=0.1)
+        noisy = detect_noisy(scores, beta=0.1)
         for cid in noisy:
             assert scores.q[cid] > scores.mean
 
 
 def test_detect_partition_covers_all():
     scores = scores_from([0.1, 0.2, 5.0, 0.15])
-    noisy, clean = detect_noisy(scores, beta=0.6)
-    assert noisy | clean == set(range(4))
-    assert noisy & clean == set()
+    noisy = detect_noisy(scores, beta=0.6)
+    assert set(scores.client_ids) == set(range(4))
+    assert noisy <= set(scores.client_ids)
 
 
 # ------------------------------------------------------------- select_s_corr
@@ -251,7 +251,7 @@ def test_penalty_nondecreasing():
 # --------------------------------------------------------- layerwise weights
 
 def identical_updates(global_params, n_clients, n=5):
-    return [ClientUpdate(i, global_params.copy(), 1.0, n, 1)
+    return [ClientUpdate(i, global_params.copy(), 1.0, n)
             for i in range(n_clients)]
 
 
@@ -297,7 +297,7 @@ def test_layerwise_scale_invariance():
     rng = np.random.default_rng(4)
     g = nn.init_params([3, 4, 2], 5)
     updates = [random_update(i, rng, n=3) for i in range(4)]
-    scaled = [ClientUpdate(u.client_id, u.params, u.h, u.n_samples * 13, 1)
+    scaled = [ClientUpdate(u.client_id, u.params, u.h, u.n_samples * 13)
               for u in updates]
     cfg = ServerConfig()
     w1 = layerwise_weights(updates, layer_div(g, updates), {0}, 3, cfg)
@@ -397,10 +397,11 @@ def test_zero_rounds_returns_empty_and_leaves_model():
 @pytest.mark.parametrize("aggregator", server.AGGREGATORS)
 def test_single_client_round_returns_client_params(aggregator):
     exp = tiny_experiment(aggregator, clients=1, rounds=1)
-    from fednoisy.client import local_train
-    expected = local_train(exp.global_params, exp.assignments[0], exp.dataset,
-                           exp.client_config, 1, exp.seed)
-    _, _, new_global = exp.run_round(1)
+    from fednoisy.client import Cohort, local_train
+    [expected] = local_train(exp.global_params, Cohort((exp.assignments[0],)),
+                             exp.dataset, exp.client_config, 1, exp.seed)
+    exp.run_round(1)
+    new_global = exp.global_params
     for l in range(new_global.num_layers):
         assert np.allclose(new_global.weights[l], expected.params.weights[l],
                            rtol=1e-12)
@@ -413,7 +414,8 @@ def test_each_aggregator_records_the_rows_it_applies(aggregator):
                           noise=NoiseSpec(mode=data.FIXED,
                                           rates=[0.0, 1.0, 0.0, 1.0, 0.0]))
     for round_idx in (1, 2):
-        m, updates, new_global = exp.run_round(round_idx)
+        m, updates = exp.run_round(round_idx)
+        new_global = exp.global_params
         weights = np.array(m.weights)
         assert weights.shape == (new_global.num_layers, 5)
         if aggregator == server.TRIMMED_MEAN:
@@ -475,7 +477,7 @@ def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
 ])
 def test_unequal_shards_train_in_client_order_as_single_clients(workers,
                                                                 cohorts):
-    from fednoisy.client import local_train
+    from fednoisy.client import Cohort, local_train
     assert server._COHORT == 4   # the cohorts listed above
     exp = tiny_experiment(server.FED_NCL, clients=9, workers=workers)
     rng = np.random.default_rng(4)
@@ -488,8 +490,8 @@ def test_unequal_shards_train_in_client_order_as_single_clients(workers,
     updates = exp._train_clients(2)
     assert [u.client_id for u in updates] == list(range(9))
     for a, u in zip(exp.assignments, updates):
-        want = local_train(exp.global_params, a, exp.dataset,
-                           exp.client_config, 2, exp.seed)
+        [want] = local_train(exp.global_params, Cohort((a,)), exp.dataset,
+                             exp.client_config, 2, exp.seed)
         assert u.n_samples == len(a)
         assert u.params.flat.tobytes() == want.params.flat.tobytes()
         assert u.h == want.h
@@ -533,10 +535,9 @@ def test_history_partition_every_round(monkeypatch):
                           noise=NoiseSpec(mode=data.FIXED,
                                           rates=[0.0, 0.0, 1.0, 1.0]))
     exp.run()
-    assert exp.history == [noisy for noisy, _ in detected]
-    for noisy, clean in zip(exp.history, (c for _, c in detected)):
-        assert noisy | clean == set(range(4))
-        assert noisy & clean == set()
+    assert exp.history == detected
+    for noisy in exp.history:
+        assert noisy <= set(range(4))
     assert len(exp.history) == 3
 
 
@@ -569,8 +570,8 @@ def test_relabeled_only_correction_runs_one_forward_per_client(monkeypatch):
         return predict(*args)
 
     monkeypatch.setattr(nn, "predict_confidences", counting)
-    corrected, relabeled = exp._correct_labels(exp.global_params)
-    assert corrected == {1, 3} and len(calls) == 2
+    relabeled = exp._correct_labels(exp.global_params)
+    assert set(relabeled) == exp.s_corr == {1, 3} and len(calls) == 2
     assert any(0 < relabeled[c] < len(before[c]) for c in (1, 3))
     for c in (1, 3):
         labels, conf = preds[c]
@@ -672,7 +673,7 @@ def test_precision_recall_basic():
 # ----------------------------------------------- properties over random stacks
 
 def stack_updates(models, sizes):
-    return [ClientUpdate(c, m, 1.0, n, 1)
+    return [ClientUpdate(c, m, 1.0, n)
             for c, (m, n) in enumerate(zip(models, sizes))]
 
 
@@ -737,7 +738,7 @@ def draw_weighting(models, data_):
     c = len(models)
     sizes = data_.draw(st.lists(st.integers(1, 50), min_size=c, max_size=c))
     h = data_.draw(st.lists(st.floats(1e-3, 100.0), min_size=c, max_size=c))
-    updates = [ClientUpdate(i, m, hi, n, 1)
+    updates = [ClientUpdate(i, m, hi, n)
                for i, (m, n, hi) in enumerate(zip(models, sizes, h))]
     flagged = data_.draw(st.sets(st.integers(0, c - 1)))
     return updates, flagged, data_.draw(st.integers(1, 30)), ServerConfig()

@@ -6,9 +6,10 @@ import math
 import struct
 
 import numpy as np
+from hypothesis import reject
 from hypothesis import strategies as st
 
-from fednoisy import nn
+from fednoisy import data, nn
 
 
 def blas_threads():
@@ -117,12 +118,22 @@ def config_documents(draw, full=False):
     noise = pick({
         "mode": st.just(mode),
         "clean_prob": st.floats(0, 1, exclude_min=True) | st.just(1),
-        "within_rate": rate, "mean": st.floats(-10, 10) | st.integers(-1, 1),
+        # a trunc_gauss mean inside [low, high] leaves most windows mass
+        "within_rate": rate, "mean": st.floats(low, high)
+        if mode == "trunc_gauss" else st.floats(-10, 10) | st.integers(-1, 1),
         "std": st.floats(0, 10, exclude_min=True) | st.integers(1, 3),
         "low": st.just(low), "high": st.just(high),
         "rates": st.lists(rate, min_size=n_clients, max_size=n_clients)
         if mode == "fixed" else st.none() | st.lists(rate, max_size=5)},
         required=("mode", "rates") if mode == "fixed" else ())
+    if mode == "trunc_gauss":
+        # valid only if the window holds probability mass: the sampler's
+        # own check
+        w = data.NoiseSpec(**noise)
+        try:
+            data.sample_truncated_gaussian(w.mean, w.std, w.low, w.high, 0, 0)
+        except ValueError:
+            reject()
     return pick({
         "dataset": st.just(dataset),
         "subset_size": st.integers(0 if mnist else 1, 5000),
@@ -144,7 +155,7 @@ def config_documents(draw, full=False):
             "train_on": st.sampled_from(["corrected_all",
                                          "relabeled_only"])})),
         "server": st.just(server),
-        "seed": st.integers(0, 2**32 - 1), "out_dir": st.text(),
+        "seed": st.integers(0, 2**32 - 1), "out_dir": st.text(min_size=1),
         "save_checkpoints": st.booleans(),
         "checkpoint_every": st.integers(1, 50), "workers": st.integers(0, 8)},
         # the mnist paths and the fixed rates hold only with their section
