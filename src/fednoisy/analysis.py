@@ -98,6 +98,9 @@ def cka_layer_report(client_models: Sequence[nn.ModelParams],
     if noisy and not 0 <= noisy[0] <= noisy[-1] < num_clients:
         raise ValueError(f"noisy client ids {noisy} must lie in "
                          f"[0, {num_clients})")
+    noisy_set = set(noisy)
+    if len(noisy_set) < len(noisy):
+        raise ValueError(f"noisy client ids {noisy} repeat an id")
     widths = [shape[0] for shape in global_model.shapes]
     matrices = []
     for layers in _cka_passes(widths):
@@ -111,7 +114,7 @@ def cka_layer_report(client_models: Sequence[nn.ModelParams],
             blocks[k] = None
 
     g = num_clients
-    clean = [c for c in range(num_clients) if c not in set(noisy)]
+    clean = [c for c in range(num_clients) if c not in noisy_set]
     mean_noisy = [float(np.mean([mat[c, g] for c in noisy])) if noisy else math.nan
                   for mat in matrices]
     mean_clean = [float(np.mean([mat[c, g] for c in clean])) if clean else math.nan

@@ -76,6 +76,27 @@ class Cohort:
         return tuple(a.client_id for a in self.members)
 
 
+def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
+    """Whether ``local_train`` trains a cohort of ``n``-row shards under
+    layer shapes ``shapes`` on its dual path.
+
+    Each step's layer-0 weight gradient dL/dz0ᵀ·x lies in the row space of
+    the member's shard X (n × d), so layer 0 stays W0 − AᵀX, W0 the received
+    weights and A an (n × h) coefficient block. A step then needs only rows
+    of Z0 = X·W0ᵀ and K = X·Xᵀ, both made once per call. The dual path is
+    taken when the cohort steps more than once, when its layer-0
+    multiply-adds (n²·d for K, 2·n·d·h for Z0 and the final W0, and
+    epochs·n²·h for the steps' K·A) are fewer than the primal path's two
+    GEMMs a step (2·epochs·n·d·h), and when n² ≤ P, so that one member's K
+    is no larger than its model.
+    """
+    (h, d), epochs = shapes[0], config.local_epochs
+    steps = epochs * -(-n // config.batch_size)
+    dual = n * n * d + 2 * n * d * h + epochs * n * n * h
+    size = sum(o * i + o for o, i in shapes)
+    return steps > 1 and dual < 2 * epochs * n * d * h and n * n <= size
+
+
 def local_train(global_params: nn.ModelParams, cohort: Cohort,
                 dataset: LabeledDataset, config: ClientConfig, round_idx: int,
                 seed: int) -> list[ClientUpdate]:
@@ -85,20 +106,30 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
     client would get in a cohort of its own. Deterministic given (seed,
     client_id, round_idx) per client.
 
-    The cohort trains in lockstep: each batch position is one stacked
-    ``nn.loss_and_grad`` over a (k, B, dim) batch and one update of a
-    (k, P) parameter block, whose rows are the updates' params. The
-    incoming global parameters are never mutated: the first step reads them
-    through a broadcast and writes its result into the block, which later
-    steps update in place, with the same arithmetic as ``nn.sgd_step``. One
-    gradient block (and, with ``prox_mu`` > 0, one scratch block for the
-    proximal term) serves every step.
+    The cohort trains in lockstep: each batch position is one stacked step
+    over a (k, B, dim) batch and one update of a (k, P) parameter block,
+    whose rows are the updates' params. The incoming global parameters are
+    never mutated: the first step reads them through a broadcast and writes
+    its result into the block, which later steps update in place, with the
+    same arithmetic as ``nn.sgd_step``. One gradient block (and, with
+    ``prox_mu`` > 0, one scratch block for the proximal term) serves every
+    step. A step takes one of two paths, chosen by :func:`takes_dual_path`
+    from the sizes alone:
+
+    - primal: ``nn.loss_and_grad`` of the block;
+    - dual: layer 0 is kept as W0 − AᵀX, and each step forms the batch's
+      pre-activation Z0[o] − K[o]·A + b0, runs ``nn.head_grad`` on it,
+      updates b0 and the later layers as the primal path does, and adds
+      lr·dL/dz0 into A's rows ``o`` (after scaling A by 1 − lr·prox_mu). The
+      trained W0 − AᵀX is written into the block at the end.
 
     Each ``h`` is the member's ``data_quality_loss``. With ``h_on`` = local
     they come from one stacked ``nn.cross_entropy`` of the trained block
-    over the members' shards. With ``h_on`` = global, ``h`` reuses the first
-    step's forward pass of the received model: that batch's row losses, plus
-    one more pass over the rest of the first epoch's order, give
+    over the members' shards. With ``h_on`` = global, the dual path runs the
+    received model's head on Z0 + b0, ``data_quality_loss``'s own GEMM, so
+    ``h`` keeps its bits. The primal path reuses the first step's forward
+    pass of the received model: that batch's row losses, plus one more pass
+    over the rest of the first epoch's order, give
     ``data_quality_loss(global_params, ...)`` (bit for bit wherever the BLAS
     rounds a row the same in a smaller batch).
     """
@@ -113,38 +144,21 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
                              f"{members[0].client_id} {n}")
     if config.local_epochs < 1:
         raise ValueError("local_epochs must be >= 1")
-    k, b = len(members), config.batch_size
     rngs = [np.random.default_rng((seed, a.client_id, round_idx))
             for a in members]
+    orders = (np.stack([rng.permutation(n) for rng in rngs])
+              for _ in range(config.local_epochs))
     indices = np.stack([a.indices for a in members])
     labels = np.stack([a.noisy_labels for a in members])
-    cols = np.arange(k)[:, None]
 
-    params = nn.ModelParams.from_flat(np.empty((k, global_params.flat.size)),
-                                      global_params.shapes)
+    params = nn.ModelParams.from_flat(
+        np.empty((len(members), global_params.flat.size)), global_params.shapes)
     grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes)
     pull = np.empty_like(params.flat) if config.prox_mu > 0 else None
-    # the received model's row losses, in the first epoch's order
-    h_rows = np.empty((k, n)) if config.h_on == H_ON_GLOBAL else None
-    first_rows = None if h_rows is None else h_rows[:, :b]
-    current = global_params
-    for epoch in range(config.local_epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        idx, y = indices[cols, order], labels[cols, order]
-        if epoch == 0:
-            first_order, first_idx, first_y = order, idx, y
-        for start in range(0, n, b):
-            nn.loss_and_grad(current, dataset.features[idx[:, start:start + b]],
-                             y[:, start:start + b], out=grad,
-                             row_losses=first_rows
-                             if current is global_params else None)
-            if pull is not None:
-                np.subtract(current.flat, global_params.flat, out=pull)
-                pull *= config.prox_mu
-                grad.flat += pull
-            np.multiply(grad.flat, config.lr, out=grad.flat)
-            np.subtract(current.flat, grad.flat, out=params.flat)
-            current = params
+    train = _train_dual if takes_dual_path(n, global_params.shapes, config) \
+        else _train_primal
+    h = train(global_params, params, grad, pull, indices, labels, orders,
+              dataset, config)
 
     finite = np.isfinite(params.flat).all(axis=1)
     if not finite.all():
@@ -153,18 +167,114 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
             f"client {bad.client_id} diverged to non-finite parameters")
 
     models = [nn.ModelParams.from_flat(row, params.shapes) for row in params.flat]
-    if h_rows is None:
+    if h is None:
         h = nn.cross_entropy(params, dataset.features[indices], labels)[0] * n
-    else:
-        if n > b:
-            nn.cross_entropy(global_params, dataset.features[first_idx[:, b:]],
-                             first_y[:, b:], row_losses=h_rows[:, b:])
-        losses = np.empty((k, n))
-        losses[cols, first_order] = h_rows
-        # data_quality_loss's sum, over each client's rows in assignment order
-        h = losses.mean(axis=1) * n
     return [ClientUpdate(a.client_id, m, float(h_c), n)
             for a, m, h_c in zip(members, models, h)]
+
+
+def _sgd_update(current: np.ndarray, received: np.ndarray, grad: np.ndarray,
+                out: np.ndarray, pull: np.ndarray | None,
+                config: ClientConfig) -> None:
+    """out = current - lr * (grad + prox_mu * (current - received)), with
+    ``nn.sgd_step``'s arithmetic; overwrites ``grad`` and ``pull``."""
+    if pull is not None:
+        np.subtract(current, received, out=pull)
+        pull *= config.prox_mu
+        grad += pull
+    np.multiply(grad, config.lr, out=grad)
+    np.subtract(current, grad, out=out)
+
+
+def _train_primal(global_params: nn.ModelParams, params: nn.ModelParams,
+                  grad: nn.ModelParams, pull: np.ndarray | None,
+                  indices: np.ndarray, labels: np.ndarray, orders,
+                  dataset: LabeledDataset,
+                  config: ClientConfig) -> np.ndarray | None:
+    """Train the (k, P) block ``params`` by stacked ``nn.loss_and_grad``
+    steps, through the gradient block ``grad`` and, with ``prox_mu`` > 0,
+    the scratch block ``pull``. Returns each member's ``h_on`` = global
+    ``h``, else None."""
+    k, n = labels.shape
+    b = config.batch_size
+    cols = np.arange(k)[:, None]
+    # the received model's row losses, in the first epoch's order
+    h_rows = np.empty((k, n)) if config.h_on == H_ON_GLOBAL else None
+    first_rows = None if h_rows is None else h_rows[:, :b]
+    current = global_params
+    for epoch, order in enumerate(orders):
+        idx, y = indices[cols, order], labels[cols, order]
+        if epoch == 0:
+            first_order, first_idx, first_y = order, idx, y
+        for start in range(0, n, b):
+            nn.loss_and_grad(current, dataset.features[idx[:, start:start + b]],
+                             y[:, start:start + b], out=grad,
+                             row_losses=first_rows
+                             if current is global_params else None)
+            _sgd_update(current.flat, global_params.flat, grad.flat,
+                        params.flat, pull, config)
+            current = params
+    if h_rows is None:
+        return None
+    if n > b:
+        nn.cross_entropy(global_params, dataset.features[first_idx[:, b:]],
+                         first_y[:, b:], row_losses=h_rows[:, b:])
+    losses = np.empty((k, n))
+    losses[cols, first_order] = h_rows
+    # data_quality_loss's sum, over each client's rows in assignment order
+    return losses.mean(axis=1) * n
+
+
+def _train_dual(global_params: nn.ModelParams, params: nn.ModelParams,
+                grad: nn.ModelParams, pull: np.ndarray | None,
+                indices: np.ndarray, labels: np.ndarray, orders,
+                dataset: LabeledDataset,
+                config: ClientConfig) -> np.ndarray | None:
+    """:func:`_train_primal` with layer 0 kept as W0 − AᵀX over each
+    member's shard X (:func:`takes_dual_path`); the steps use only the
+    head's part of ``grad`` and ``pull``. Writes W0 − AᵀX into the block's
+    layer 0 at the end."""
+    k, n = labels.shape
+    b, lr = config.batch_size, config.lr
+    cols = np.arange(k)[:, None]
+    w0 = global_params.weights[0]
+    head = slice(w0.size, None)        # b0 and the later layers, in flat
+    # one member's (n, d) shard gathered at a time keeps the call's peak
+    # memory near the primal path's; Z0's GEMM is data_quality_loss's
+    z0, gram = np.empty((k, n, w0.shape[0])), np.empty((k, n, n))
+    for idx, z0_c, gram_c in zip(indices, z0, gram):
+        x = dataset.features[idx]
+        np.matmul(x, w0.swapaxes(-1, -2), out=z0_c)
+        np.matmul(x, x.swapaxes(-1, -2), out=gram_c)
+    coef = np.zeros(z0.shape)
+    pull = None if pull is None else pull[:, head]
+    current = global_params
+    for order in orders:
+        y = labels[cols, order]
+        for start in range(0, n, b):
+            o = order[:, start:start + b]
+            activations, _ = nn.forward_head(
+                current, z0[cols, o] - gram[cols, o] @ coef
+                + current.biases[0][..., None, :])
+            _, delta = nn.head_grad(current, activations, y[:, start:start + b],
+                                    grad)
+            _sgd_update(current.flat[..., head], global_params.flat[head],
+                        grad.flat[:, head], params.flat[:, head], pull, config)
+            if pull is not None:
+                coef *= 1.0 - lr * config.prox_mu
+            delta *= lr
+            coef[cols, o] += delta
+            current = params
+    for idx, coef_c, w0_c in zip(indices, coef, params.weights[0]):
+        np.matmul(coef_c.swapaxes(-1, -2), dataset.features[idx], out=w0_c)
+        # per member: on the whole strided (k, h, d) view, numpy would copy
+        # the operand that overlaps its output
+        np.subtract(w0, w0_c, out=w0_c)
+    if config.h_on != H_ON_GLOBAL:
+        return None
+    activations, _ = nn.forward_head(global_params,
+                                     z0 + global_params.biases[0][..., None, :])
+    return nn.softmax_loss(activations[-1], labels)[0] * n
 
 
 def correction_mask(assignment: ClientAssignment, global_params: nn.ModelParams,

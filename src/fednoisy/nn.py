@@ -7,7 +7,8 @@ except the ``out`` buffer a caller passes, so any number of workers may share
 one model; ``client.local_train`` updates only its own private copy in place.
 
 The training kernels (:func:`forward`, :func:`cross_entropy`,
-:func:`loss_and_grad`) also take a cohort: models stacked on a leading axis
+:func:`loss_and_grad` and the head they share, :func:`forward_head` and
+:func:`head_grad`) also take a cohort: models stacked on a leading axis
 (a ``ModelParams`` over a ``(k, P)`` buffer) and batches of shape
 ``(k, B, dim)``, one slice per model. A stacked ``np.matmul`` makes one BLAS
 call per slice with that slice's own shapes, and every reduction runs over
@@ -163,10 +164,23 @@ def forward(params: ModelParams, batch: np.ndarray) -> tuple[list[np.ndarray], n
     if batch.ndim not in (2, 3) or batch.shape[-1] != params.in_dim:
         raise ShapeError(
             f"batch width {batch.shape} incompatible with input dim {params.in_dim}")
+    return forward_head(params, batch @ params.weights[0].swapaxes(-1, -2)
+                        + params.biases[0][..., None, :])
+
+
+def forward_head(params: ModelParams,
+                 z0: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`forward` from layer 0's pre-activation ``z0`` = x·W0ᵀ + b0.
+
+    Reads every block of ``params`` but layer 0's, so a caller that holds
+    layer 0 in another form (``client.local_train``'s dual path) runs the
+    same head.
+    """
     activations = []
-    a = batch
+    z = z0
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        if l > 0:
+            z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         a = np.maximum(z, 0.0) if l < params.num_layers - 1 else z
         activations.append(a)
     logits = activations[-1]
@@ -194,28 +208,64 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
-                  row_losses: np.ndarray | None = None
-                  ) -> tuple[float | np.ndarray, list[np.ndarray], np.ndarray]:
-    """Mean softmax cross-entropy of a labelled batch under ``params``.
+def softmax_loss(logits: np.ndarray, labels: np.ndarray,
+                 row_losses: np.ndarray | None = None
+                 ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy of ``logits`` against ``labels``, over the
+    last axis, and the log-probabilities.
 
-    Also returns the per-layer activations and the log-probabilities, which
-    :func:`loss_and_grad` backpropagates through. Each row's loss is written
-    into ``row_losses`` (a float64 array of ``labels``' shape) when given;
-    the mean over the last axis is their mean: a scalar for one batch, a
-    (k,) array for a cohort (``labels`` of shape (k, B)).
+    Each row's loss is written into ``row_losses`` (a float64 array of
+    ``labels``' shape) when given; the mean over the last axis is their
+    mean: a scalar for one batch, a (k,) array for a cohort (``labels`` of
+    shape (k, B)).
     """
     labels = np.asarray(labels)
     if labels.shape[-1] == 0:
         raise ValueError("batch is empty")
-    activations, logits = forward(params, batch_x)
     k = logits.shape[-1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
     log_probs = _log_softmax(logits)
     picked = log_probs.reshape(-1)[_label_positions(labels, k)]
     rows = np.negative(picked, out=row_losses)
-    return rows.mean(axis=-1), activations, log_probs
+    return rows.mean(axis=-1), log_probs
+
+
+def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
+                  row_losses: np.ndarray | None = None
+                  ) -> tuple[float | np.ndarray, list[np.ndarray], np.ndarray]:
+    """Mean softmax cross-entropy of a labelled batch under ``params``
+    (:func:`softmax_loss` of its logits), the per-layer activations and the
+    log-probabilities."""
+    activations, logits = forward(params, batch_x)
+    mean_loss, log_probs = softmax_loss(logits, labels, row_losses)
+    return mean_loss, activations, log_probs
+
+
+def head_grad(params: ModelParams, activations: list[np.ndarray],
+              labels: np.ndarray, out: ModelParams,
+              row_losses: np.ndarray | None = None
+              ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Backprop of a forward pass down to layer 0's pre-activation.
+
+    ``activations`` come from :func:`forward` or :func:`forward_head` under
+    ``params``. Writes the gradient of every block but W0 into ``out`` and
+    returns (mean loss, dL/dz0); W0's gradient is dL/dz0ᵀ·x, whatever form
+    the caller holds layer 0 in. ``row_losses`` is :func:`softmax_loss`'s.
+    """
+    labels = np.asarray(labels)
+    mean_loss, log_probs = softmax_loss(activations[-1], labels, row_losses)
+    delta = np.exp(log_probs)
+    delta.reshape(-1)[_label_positions(labels, delta.shape[-1])] -= 1.0
+    delta /= labels.shape[-1]
+    for l in range(params.num_layers - 1, 0, -1):
+        np.matmul(delta.swapaxes(-1, -2), activations[l - 1],
+                  out=out.weights[l])
+        delta.sum(axis=-2, out=out.biases[l])
+        # layer l - 1 is hidden: through its ReLU
+        delta = delta @ params.weights[l] * (activations[l - 1] > 0)
+    delta.sum(axis=-2, out=out.biases[0])
+    return mean_loss, delta
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
@@ -223,37 +273,24 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
                   row_losses: np.ndarray | None = None
                   ) -> tuple[float | np.ndarray, ModelParams]:
     """Mean softmax cross-entropy and its exact backprop gradient, laid out
-    like ``params``.
+    like ``params``: :func:`forward`, :func:`head_grad`, then W0's gradient
+    dL/dz0ᵀ·x.
 
     The gradient is written into ``out`` when given (a ``ModelParams`` with
     ``params``' shapes), else into a new one. Every element is overwritten,
     so a caller may reuse one buffer across steps. ``row_losses`` receives
-    each row's loss, as in :func:`cross_entropy`. On a cohort batch the
+    each row's loss, as in :func:`softmax_loss`. On a cohort batch the
     gradient holds one row per slice, also under unstacked ``params``.
     """
-    mean_loss, activations, log_probs = cross_entropy(params, batch_x, labels,
-                                                      row_losses)
-    labels = np.asarray(labels)
-    n = labels.shape[-1]
-
-    probs = np.exp(log_probs)
-    delta = probs
-    delta.reshape(-1)[_label_positions(labels, delta.shape[-1])] -= 1.0
-    delta /= n
-
     batch_x = np.asarray(batch_x, dtype=np.float64)
+    activations, _ = forward(params, batch_x)
     if out is None:
         size = params.flat.shape[-1:]
         out = ModelParams.from_flat(np.empty(batch_x.shape[:-2] + size), params.shapes)
     else:
         _check_congruent(params, out)
-    for l in range(params.num_layers - 1, -1, -1):
-        below = batch_x if l == 0 else activations[l - 1]
-        np.matmul(delta.swapaxes(-1, -2), below, out=out.weights[l])
-        delta.sum(axis=-2, out=out.biases[l])
-        if l > 0:
-            # layer l - 1 is hidden: through its ReLU
-            delta = delta @ params.weights[l] * (activations[l - 1] > 0)
+    mean_loss, delta = head_grad(params, activations, labels, out, row_losses)
+    np.matmul(delta.swapaxes(-1, -2), batch_x, out=out.weights[0])
     return mean_loss, out
 
 

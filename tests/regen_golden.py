@@ -79,6 +79,14 @@ CONFIGS = {
     "trimmed_mean_one_batch": _config(
         client={"batch_size": 30},
         server={"aggregator": "trimmed_mean", "trim_pct": 20.0}),
+    # the benchmark's shapes, where OpenBLAS takes other GEMM paths than on
+    # the tiny configs, and the only config here whose clients train on
+    # local_train's dual path
+    "fed_ncl_benchmark_shape": _config(
+        dataset={"dims": 784, "classes": 10, "spread": 2.0},
+        subset_size=200, hidden_dims=[64, 32],
+        client={"lr": 0.01, "local_epochs": 10, "batch_size": 60},
+        server={"aggregator": "fed_ncl", "rounds": 2, "num_clients": 2}),
 }
 COMPARE = ("compare_fedavg_fed_ncl", _config(
     noise={"mode": "trunc_gauss"}, save_checkpoints=False),

@@ -229,6 +229,14 @@ def test_report_rejects_noisy_ids_outside_clients(noisy):
                                   noisy)
 
 
+def test_report_rejects_repeated_noisy_ids():
+    # a repeated id would weight that client twice in mean_noisy
+    models = small_models(4)
+    with pytest.raises(ValueError, match=r"repeat an id"):
+        analysis.cka_layer_report(models[:3], models[3], rand(20, 6, 1),
+                                  [1, 1, 2])
+
+
 def test_report_rejects_single_row_probe():
     models = small_models(3)
     with pytest.raises(ValueError, match="at least 2 samples"):

@@ -1,17 +1,18 @@
 """Unit tests for local training, data-quality loss, and label correction."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fednoisy import client, data, nn
 from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig
 from fednoisy.errors import NumericError
 from fednoisy.server import _COHORT
-from tests_util import model_stacks
+from tests_util import dual_train_reference, model_stacks
 
 
 def blob_dataset(k=3, per_class=40, dim=6, spread=0.5, seed=0):
@@ -33,6 +34,12 @@ def train_alone(g, a, ds, cfg, round_idx, seed):
     [update] = client.local_train(g, client.Cohort((a,)), ds, cfg, round_idx,
                                   seed)
     return update
+
+
+def on_path(dual):
+    """A context in which ``local_train`` takes its dual path if ``dual``,
+    else its primal path, whatever the sizes."""
+    return mock.patch.object(client, "takes_dual_path", lambda *args: dual)
 
 
 # ------------------------------------------------------------- local_train
@@ -125,12 +132,95 @@ def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
                     grad.flat + mu * (params.flat - g.flat), g.shapes)
             params = nn.sgd_step(params, grad, lr)
 
-    if not np.isfinite(params.flat).all():
-        with pytest.raises(NumericError):
-            train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
-        return
-    update = train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
+    with on_path(dual=False):
+        if not np.isfinite(params.flat).all():
+            with pytest.raises(NumericError):
+                train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
+            return
+        update = train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
     assert np.array_equal(update.params.flat, params.flat)
+
+
+def dual_cohort(k, n, dim, hidden, classes, seed):
+    """(dataset, k members of n rows, received model) for the dual path."""
+    rng = np.random.default_rng(seed)
+    rows = 2 * n + 3
+    ds = data.LabeledDataset(rng.normal(size=(rows, dim)),
+                             rng.integers(0, classes, size=rows), classes)
+    members = []
+    for cid in rng.choice(50, size=k, replace=False):
+        idx = rng.choice(rows, size=n, replace=False)
+        members.append(data.ClientAssignment(
+            int(cid), idx, ds.labels[idx], rng.integers(0, classes, n)))
+    return ds, members, nn.init_params([dim, *hidden, classes], seed)
+
+
+dual_configs = dict(
+    k=st.integers(1, 5), n=st.integers(2, 9), dim=st.integers(40, 90),
+    hidden=st.lists(st.integers(3, 8), min_size=1, max_size=2),
+    classes=st.sampled_from([2, 9]), batch=st.integers(1, 9),
+    epochs=st.integers(2, 3), mu=st.sampled_from([0.0, 0.01]),
+    h_on=st.sampled_from([client.H_ON_GLOBAL, client.H_ON_LOCAL]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**dual_configs)
+# ragged last batches, on every run
+@example(k=3, n=7, dim=60, hidden=[6], classes=9, batch=3, epochs=2, mu=0.01,
+         h_on=client.H_ON_GLOBAL, seed=5)
+@example(k=5, n=9, dim=90, hidden=[8, 4], classes=2, batch=4, epochs=3,
+         mu=0.0, h_on=client.H_ON_LOCAL, seed=1)
+def test_dual_path_equals_its_reference_loop_bitwise(k, n, dim, hidden,
+                                                     classes, batch, epochs,
+                                                     mu, h_on, seed):
+    ds, members, g = dual_cohort(k, n, dim, hidden, classes, seed)
+    cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
+                       prox_mu=mu, h_on=h_on)
+    assume(client.takes_dual_path(n, g.shapes, cfg))
+    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
+                                 round_idx=2, seed=seed)
+    for a, got in zip(members, updates, strict=True):
+        params, h = dual_train_reference(g, a, ds, cfg, 2, seed)
+        assert got.params.flat.tobytes() == params.flat.tobytes()
+        assert got.h == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(**dual_configs)
+def test_primal_and_dual_paths_agree(k, n, dim, hidden, classes, batch,
+                                     epochs, mu, h_on, seed):
+    # the two paths sum in different orders, so they agree to rounding only
+    ds, members, g = dual_cohort(k, n, dim, hidden, classes, seed)
+    cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
+                       prox_mu=mu, h_on=h_on)
+    cohort = client.Cohort(tuple(members))
+    runs = []
+    for dual in (False, True):
+        with on_path(dual):
+            runs.append(client.local_train(g, cohort, ds, cfg, 2, seed))
+    for primal, dual in zip(*runs):
+        want = primal.params.flat
+        assert np.abs(dual.params.flat - want).max() \
+            <= 1e-12 * np.abs(want).max()
+        assert dual.h == pytest.approx(primal.h, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, shapes, epochs, batch, dual", [
+    # fedbench's desk client: 100 rows, 784-64-32-10, 10 epochs of 60
+    (100, [(64, 784), (32, 64), (10, 32)], 10, 60, True),
+    # fedbench's crowd client: one step a round
+    (20, [(64, 784), (32, 64), (10, 32)], 1, 20, False),
+    # an MNIST-sized shard: K would outgrow the model, and so would its work
+    (3000, [(64, 784), (32, 64), (10, 32)], 10, 60, False),
+    # fewer multiply-adds on the dual path, but K (1600) outgrows P (1005)
+    (40, [(1, 1000), (2, 1)], 50, 10, False),
+    # steps enough and K small, but more multiply-adds on the dual path
+    (100, [(8, 6), (3, 8)], 2, 16, False),
+])
+def test_the_path_follows_the_sizes(n, shapes, epochs, batch, dual):
+    cfg = ClientConfig(local_epochs=epochs, batch_size=batch)
+    assert client.takes_dual_path(n, shapes, cfg) is dual
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,6 +312,32 @@ def test_cohort_names_its_first_diverged_client():
     assert all(np.isfinite(u.params.flat).all() for u in ok)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_dual_path_names_its_first_diverged_client(monkeypatch):
+    # on the dual path a step's dL/dz0 goes only into A, so one made
+    # non-finite in the last step reaches no forward pass: only the written
+    # layer 0 shows it
+    ds, members, g = dual_cohort(4, 6, 60, [6], 2, seed=3)
+    cfg = ClientConfig(lr=0.05, local_epochs=2, batch_size=3)
+    assert client.takes_dual_path(6, g.shapes, cfg)
+    steps = []
+    real = nn.head_grad
+
+    def poisoned(*args, **kwargs):
+        loss, delta = real(*args, **kwargs)
+        steps.append(len(delta))
+        if len(steps) == 4:        # the last step: members 2 and 3
+            delta[2:] = np.inf
+        return loss, delta
+
+    monkeypatch.setattr(nn, "head_grad", poisoned)
+    with pytest.raises(NumericError, match=f"^client {members[2].client_id} "
+                       "diverged to non-finite parameters$"):
+        client.local_train(g, client.Cohort(tuple(members)), ds, cfg, 1,
+                           seed=0)
+    assert steps == [4] * 4
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -234,7 +350,8 @@ def traced_peak(fn):
 @pytest.mark.parametrize("mu", [0.0, 0.01])
 def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
     # parameters (~355 KB) dwarf a step's batch-sized temporaries, so a
-    # parameter-sized buffer made in a step shows in that step's peak
+    # parameter-sized buffer made in a step shows in that step's peak; on
+    # each path, whatever path the sizes would pick
     rng = np.random.default_rng(0)
     ds = data.LabeledDataset(rng.normal(size=(4, 100)),
                              rng.integers(0, 10, size=4), 10)
@@ -246,21 +363,27 @@ def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
                            prox_mu=mu)
         train_alone(g, a, ds, cfg, round_idx=1, seed=0)
 
-    assert traced_peak(lambda: train(20)) <= traced_peak(lambda: train(1)) + 4096
-
     marks = []   # (traced now, peak since the previous step began) per step
-    real = nn.loss_and_grad
+    real = nn.head_grad
 
     def marked(*args, **kwargs):
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nn, "loss_and_grad", marked)
-    traced_peak(lambda: train(20))
-    assert len(marks) == 40
-    step_growth = [peak - now for (now, _), (_, peak) in zip(marks, marks[1:])]
-    assert max(step_growth) < g.flat.nbytes // 4
+    for dual in (False, True):
+        with on_path(dual):
+            assert traced_peak(lambda: train(20)) \
+                <= traced_peak(lambda: train(1)) + 4096
+            marks.clear()
+            with monkeypatch.context() as m:
+                # both paths run each step's backprop through the shared head
+                m.setattr(nn, "head_grad", marked)
+                traced_peak(lambda: train(20))
+        assert len(marks) == 40
+        step_growth = [peak - now
+                       for (now, _), (_, peak) in zip(marks, marks[1:])]
+        assert max(step_growth) < g.flat.nbytes // 4
 
 
 def test_prox_term_pulls_toward_global():

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from fednoisy import data, nn
+from fednoisy import client, data, nn
 
 
 def blas_threads():
@@ -56,6 +56,50 @@ def write_idx_pair(tmp_path, images, labels, gz=False, image_magic=0x803,
     with opener(lbl_path, "wb") as fh:
         fh.write(lbl_bytes)
     return img_path, lbl_path
+
+
+def dual_train_reference(g, assignment, dataset, config, round_idx, seed):
+    """``client.local_train``'s dual path for one client, written out:
+    (trained params, h).
+
+    Z0 = X·W0ᵀ and K = X·Xᵀ of the client's shard X once; at each step, in
+    the client's RNG order, the pre-activation Z0[o] - K[o]·A, the shared
+    head, the head's SGD step with the proximal pull, A scaled by
+    1 - lr·prox_mu and lr·dL/dz0 scattered into A's rows ``o``. Layer 0 is
+    W0 - AᵀX at the end.
+    """
+    n, b, lr, mu = (len(assignment), config.batch_size, config.lr,
+                    config.prox_mu)
+    x = dataset.features[assignment.indices]
+    w0 = g.weights[0]
+    split = w0.size
+    z0 = x @ w0.T
+    gram = x @ x.T
+    coef = np.zeros(z0.shape)
+    head = g.flat[split:]
+    rng = np.random.default_rng((seed, assignment.client_id, round_idx))
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, b):
+            o = order[start:start + b]
+            # the head reads every block but W0
+            model = nn.ModelParams.from_flat(
+                np.concatenate([w0.ravel(), head]), g.shapes)
+            grad = nn.ModelParams.from_flat(np.zeros(g.flat.size), g.shapes)
+            activations, _ = nn.forward_head(
+                model, z0[o] - gram[o] @ coef + model.biases[0])
+            _, delta = nn.head_grad(model, activations,
+                                    assignment.noisy_labels[o], grad)
+            step = grad.flat[split:]
+            if mu > 0:
+                step = step + mu * (head - g.flat[split:])
+                coef = coef * (1.0 - lr * mu)
+            head = head - lr * step
+            coef[o] = coef[o] + lr * delta
+    params = nn.ModelParams.from_flat(
+        np.concatenate([(w0 - coef.T @ x).ravel(), head]), g.shapes)
+    evaluated = g if config.h_on == client.H_ON_GLOBAL else params
+    return params, client.data_quality_loss(evaluated, assignment, dataset)
 
 
 @st.composite
