@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientAssignment, LabeledDataset
-from .errors import NumericError
+from .errors import NonFiniteLogits, NumericError
 
 H_ON_GLOBAL = "global"
 H_ON_LOCAL = "local"
@@ -67,13 +67,27 @@ def data_quality_loss(eval_params: nn.ModelParams, assignment: ClientAssignment,
 @dataclass(frozen=True)
 class Cohort:
     """Clients with equal shard sizes, which ``local_train`` trains in
-    lockstep. ``client_id`` is the tuple of member ids, in member order."""
+    lockstep. ``client_id`` is the tuple of member ids, in member order.
+
+    ``gram``, when given, holds each member's :func:`shard_gram` as a
+    (k, n, n) block, which the dual path reads instead of making K for the
+    call.
+    """
 
     members: tuple[ClientAssignment, ...]
+    gram: np.ndarray | None = None
 
     @property
     def client_id(self) -> tuple[int, ...]:
         return tuple(a.client_id for a in self.members)
+
+
+def shard_gram(assignment: ClientAssignment, dataset: LabeledDataset,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """K = X·Xᵀ of the client's shard X (n × d), the dual path's (n, n)
+    Gram, written into ``out`` when given."""
+    x = dataset.features[assignment.indices]
+    return np.matmul(x, x.swapaxes(-1, -2), out=out)
 
 
 def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
@@ -83,7 +97,8 @@ def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
     Each step's layer-0 weight gradient dL/dz0ᵀ·x lies in the row space of
     the member's shard X (n × d), so layer 0 stays W0 − AᵀX, W0 the received
     weights and A an (n × h) coefficient block. A step then needs only rows
-    of Z0 = X·W0ᵀ and K = X·Xᵀ, both made once per call. The dual path is
+    of Z0 = X·W0ᵀ, made once per call, and of K = X·Xᵀ, which depends on
+    the shard alone (``Cohort.gram`` keeps it across calls). The dual path is
     taken when the cohort steps more than once, when its layer-0
     multiply-adds (n²·d for K, 2·n·d·h for Z0 and the final W0, and
     epochs·n²·h for the steps' K·A) are fewer than the primal path's two
@@ -104,7 +119,8 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
 
     Returns the cohort's k updates in member order, each bit for bit what the
     client would get in a cohort of its own. Deterministic given (seed,
-    client_id, round_idx) per client.
+    client_id, round_idx) per client. A member that goes non-finite raises
+    ``NumericError`` naming the first such member and ``round_idx``.
 
     The cohort trains in lockstep: each batch position is one stacked step
     over a (k, B, dim) batch and one update of a (k, P) parameter block,
@@ -118,7 +134,8 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
 
     - primal: ``nn.loss_and_grad`` of the block;
     - dual: layer 0 is kept as W0 − AᵀX, and each step forms the batch's
-      pre-activation Z0[o] − K[o]·A + b0, runs ``nn.head_grad`` on it,
+      pre-activation Z0[o] − K[o]·A + b0 (K from ``cohort.gram``, or made
+      for the call when it is None), runs ``nn.head_grad`` on it,
       updates b0 and the later layers as the primal path does, and adds
       lr·dL/dz0 into A's rows ``o`` (after scaling A by 1 − lr·prox_mu). The
       trained W0 − AᵀX is written into the block at the end.
@@ -155,22 +172,45 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
         np.empty((len(members), global_params.flat.size)), global_params.shapes)
     grad = nn.ModelParams.from_flat(np.empty_like(params.flat), params.shapes)
     pull = np.empty_like(params.flat) if config.prox_mu > 0 else None
-    train = _train_dual if takes_dual_path(n, global_params.shapes, config) \
-        else _train_primal
-    h = train(global_params, params, grad, pull, indices, labels, orders,
-              dataset, config)
+    args = (global_params, params, grad, pull, indices, labels, orders,
+            dataset, config)
 
-    finite = np.isfinite(params.flat).all(axis=1)
-    if not finite.all():
-        bad = members[int(np.argmin(finite))]
-        raise NumericError(
-            f"client {bad.client_id} diverged to non-finite parameters")
+    def diverged(member: int, what: str) -> NumericError:
+        return NumericError(f"client {members[member].client_id} diverged to "
+                            f"non-finite {what} in round {round_idx}")
+
+    try:
+        if takes_dual_path(n, global_params.shapes, config):
+            h = _train_dual(*args, _cohort_gram(cohort, dataset))
+        else:
+            h = _train_primal(*args)
+        finite = np.isfinite(params.flat).all(axis=1)
+        if not finite.all():
+            raise diverged(int(np.argmin(finite)), "parameters")
+        if h is None:
+            h = nn.cross_entropy(params, dataset.features[indices],
+                                 labels)[0] * n
+    except NonFiniteLogits as err:
+        raise diverged(err.first_slice, "logits") from err
 
     models = [nn.ModelParams.from_flat(row, params.shapes) for row in params.flat]
-    if h is None:
-        h = nn.cross_entropy(params, dataset.features[indices], labels)[0] * n
     return [ClientUpdate(a.client_id, m, float(h_c), n)
             for a, m, h_c in zip(members, models, h)]
+
+
+def _cohort_gram(cohort: Cohort, dataset: LabeledDataset) -> np.ndarray:
+    """The members' shard Grams as a (k, n, n) block: ``cohort.gram``, or
+    made for this call."""
+    k, n = len(cohort.members), len(cohort.members[0])
+    if cohort.gram is None:
+        gram = np.empty((k, n, n))
+        for a, gram_c in zip(cohort.members, gram):
+            shard_gram(a, dataset, out=gram_c)
+        return gram
+    if cohort.gram.shape != (k, n, n):
+        raise ValueError(f"cohort gram {cohort.gram.shape} does not match "
+                         f"{k} members of {n} rows")
+    return cohort.gram
 
 
 def _sgd_update(current: np.ndarray, received: np.ndarray, grad: np.ndarray,
@@ -228,12 +268,12 @@ def _train_primal(global_params: nn.ModelParams, params: nn.ModelParams,
 def _train_dual(global_params: nn.ModelParams, params: nn.ModelParams,
                 grad: nn.ModelParams, pull: np.ndarray | None,
                 indices: np.ndarray, labels: np.ndarray, orders,
-                dataset: LabeledDataset,
-                config: ClientConfig) -> np.ndarray | None:
+                dataset: LabeledDataset, config: ClientConfig,
+                gram: np.ndarray) -> np.ndarray | None:
     """:func:`_train_primal` with layer 0 kept as W0 − AᵀX over each
-    member's shard X (:func:`takes_dual_path`); the steps use only the
-    head's part of ``grad`` and ``pull``. Writes W0 − AᵀX into the block's
-    layer 0 at the end."""
+    member's shard X (:func:`takes_dual_path`), given the members' shard
+    Grams ``gram``; the steps use only the head's part of ``grad`` and
+    ``pull``. Writes W0 − AᵀX into the block's layer 0 at the end."""
     k, n = labels.shape
     b, lr = config.batch_size, config.lr
     cols = np.arange(k)[:, None]
@@ -241,11 +281,9 @@ def _train_dual(global_params: nn.ModelParams, params: nn.ModelParams,
     head = slice(w0.size, None)        # b0 and the later layers, in flat
     # one member's (n, d) shard gathered at a time keeps the call's peak
     # memory near the primal path's; Z0's GEMM is data_quality_loss's
-    z0, gram = np.empty((k, n, w0.shape[0])), np.empty((k, n, n))
-    for idx, z0_c, gram_c in zip(indices, z0, gram):
-        x = dataset.features[idx]
-        np.matmul(x, w0.swapaxes(-1, -2), out=z0_c)
-        np.matmul(x, x.swapaxes(-1, -2), out=gram_c)
+    z0 = np.empty((k, n, w0.shape[0]))
+    for idx, z0_c in zip(indices, z0):
+        np.matmul(dataset.features[idx], w0.swapaxes(-1, -2), out=z0_c)
     coef = np.zeros(z0.shape)
     pull = None if pull is None else pull[:, head]
     current = global_params

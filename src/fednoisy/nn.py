@@ -25,7 +25,7 @@ import ctypes
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NonFiniteLogits, ShapeError
 
 # A GEMM's bits depend on how many threads split it, and OpenBLAS's default
 # count follows the host's cores. One fixed thread makes every model bit
@@ -185,7 +185,9 @@ def forward_head(params: ModelParams,
         activations.append(a)
     logits = activations[-1]
     if not np.isfinite(logits).all():
-        raise NumericError("forward pass produced non-finite logits")
+        finite = np.isfinite(logits).all(axis=(-2, -1))
+        raise NonFiniteLogits("forward pass produced non-finite logits",
+                              int(np.argmin(finite)))
     return activations, logits
 
 

@@ -24,7 +24,8 @@ from . import nn
 from .analysis import RoundMetrics, evaluate_accuracy, weight_divergence
 # correction_mask is re-exported next to apply_label_correction, which calls it
 from .client import (ClientConfig, ClientUpdate, Cohort,  # noqa: F401
-                     apply_label_correction, correction_mask, local_train)
+                     apply_label_correction, correction_mask, local_train,
+                     shard_gram, takes_dual_path)
 from .data import (ClientAssignment, LabeledDataset, NoiseSpec, PartitionSpec,
                    apply_symmetric_noise, make_partitions,
                    sample_client_noise_rates)
@@ -39,9 +40,10 @@ AGGREGATORS = (FEDAVG, TRIMMED_MEAN, FEDPROX, FED_NCL)
 ROW_SUM_TOL = 1e-9
 
 # most clients one local_train call trains in lockstep. Measured per round
-# against one client per call, 4 takes ~17% off both the desk protocol and
-# crowd; 6 and 8 ran within noise of 4 on the desk protocol and 8 ~3% faster
-# on crowd, for twice the gradient and batch blocks
+# against one client per call, 4 took ~17% off both the desk protocol and
+# crowd on the primal path. With the desk protocol on the dual path, cohorts
+# of 10 or 20 there and of 10 or 25 on crowd were no faster than 4, and held
+# 3-12 MB more peak RSS
 _COHORT = 4
 
 
@@ -255,22 +257,65 @@ class Experiment:
         self.history: list[set[int]] = []   # each round's flagged set
         self.s_corr: set[int] = set()
         self.metrics: list[RoundMetrics] = []
+        # the cohorts, the assignments they were cut from, and by shard size
+        # the (C_s, n, n) buffer of a dual-path group's shard Grams
+        self._cut: list[Cohort] = []
+        self._cut_from: list[ClientAssignment] = []
+        self._grams: dict[int, np.ndarray] = {}
 
     # -- round pieces ------------------------------------------------------
 
     def _cohorts(self) -> list[Cohort]:
         """The clients grouped by shard size in client order, each group cut
         into cohorts of at most ``_COHORT``, or fewer so that every worker
-        gets one."""
+        gets one.
+
+        A group that trains on the dual path keeps its members' shard Grams
+        in one (C_s, n, n) buffer, and each of its cohorts reads the view of
+        its run of members. The cut is kept until an assignment changes; then
+        the buffer of a group with the same clients is kept, and a client's
+        K is made again only when its rows changed (``train_on`` =
+        relabeled_only, at ``t_corr``).
+        """
+        if len(self._cut_from) == len(self.assignments) and all(
+                a is b for a, b in zip(self._cut_from, self.assignments)):
+            return self._cut
+        # each client's rows and K at the last cut
+        made = {a.client_id: (a.indices, k) for c in self._cut
+                if c.gram is not None for a, k in zip(c.members, c.gram)}
         groups: dict[int, list[ClientAssignment]] = {}
         for a in self.assignments:
             groups.setdefault(len(a), []).append(a)
-        cohorts = []
-        for group in groups.values():
+        cohorts, grams = [], {}
+        for n, group in groups.items():
             step = min(_COHORT, math.ceil(len(group) / self.workers))
-            cohorts += [Cohort(tuple(group[i:i + step]))
+            gram = None
+            if takes_dual_path(n, self.global_params.shapes,
+                               self.client_config):
+                gram = grams[n] = self._group_grams(group, made)
+            cohorts += [Cohort(tuple(group[i:i + step]),
+                               None if gram is None else gram[i:i + step])
                         for i in range(0, len(group), step)]
+        self._cut, self._cut_from, self._grams = \
+            cohorts, list(self.assignments), grams
         return cohorts
+
+    def _group_grams(self, group: list[ClientAssignment],
+                     made: dict[int, tuple[np.ndarray, np.ndarray]]
+                     ) -> np.ndarray:
+        """The shard Grams of ``group``, clients of n rows in client order,
+        given the rows and K of each client at the last cut."""
+        n = len(group[0])
+        kept = [a.client_id for a in self._cut_from if len(a) == n] == \
+            [a.client_id for a in group]
+        gram = self._grams[n] if kept else np.empty((len(group), n, n))
+        for a, k in zip(group, gram):
+            rows, before = made.get(a.client_id, (None, None))
+            if rows is None or not np.array_equal(rows, a.indices):
+                shard_gram(a, self.dataset, out=k)
+            elif not kept:
+                k[...] = before
+        return gram
 
     def _train_clients(self, round_idx: int) -> list[ClientUpdate]:
         def work(cohort: Cohort) -> list[ClientUpdate]:

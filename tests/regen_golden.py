@@ -87,7 +87,20 @@ CONFIGS = {
         subset_size=200, hidden_dims=[64, 32],
         client={"lr": 0.01, "local_epochs": 10, "batch_size": 60},
         server={"aggregator": "fed_ncl", "rounds": 2, "num_clients": 2}),
+    # dual path across a relabeled_only correction: client 4's shard drops
+    # from 60 rows to 20 at t_corr and keeps training on the dual path, so
+    # its shard Gram is made again while the others' are kept
+    "fed_ncl_dual_relabeled": _config(
+        dataset={"dims": 784, "classes": 10, "spread": 2.0},
+        subset_size=360, hidden_dims=[64, 32],
+        client={"lr": 0.02, "local_epochs": 10, "batch_size": 60,
+                "train_on": "relabeled_only"},
+        server={"aggregator": "fed_ncl", "rounds": 5, "t_corr": 3,
+                "alpha": 0.3, "eta": 0.7},
+        workers=2),
 }
+# trained on local_train's dual path (tests/test_golden.py asserts it)
+DUAL_CONFIGS = ("fed_ncl_benchmark_shape", "fed_ncl_dual_relabeled")
 COMPARE = ("compare_fedavg_fed_ncl", _config(
     noise={"mode": "trunc_gauss"}, save_checkpoints=False),
     "fedavg,fed_ncl")

@@ -303,13 +303,35 @@ def test_cohort_names_its_first_diverged_client():
         ds.labels[c * n:(c + 1) * n]) for c in range(4))
     g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)])
     cfg = ClientConfig(lr=1e10, local_epochs=1, batch_size=n)
-    with pytest.raises(NumericError,
-                       match="^client 2 diverged to non-finite parameters$"):
+    with pytest.raises(NumericError, match="^client 2 diverged to non-finite "
+                       "parameters in round 1$"):
         client.local_train(g, client.Cohort(members), ds, cfg, 1, seed=0)
     with pytest.raises(NumericError, match="^client 3 diverged"):
         train_alone(g, members[3], ds, cfg, 1, seed=0)
     ok = client.local_train(g, client.Cohort(members[:2]), ds, cfg, 1, seed=0)
     assert all(np.isfinite(u.params.flat).all() for u in ok)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_cohort_that_diverges_before_its_last_update_names_it(dual):
+    # members 2 and 3 overflow in their first update, so the second epoch's
+    # forward pass (the dual path: the first step's, through K) is not finite
+    rng = np.random.default_rng(0)
+    n, dim = 6, 3
+    features = rng.normal(size=(4 * n, dim))
+    features[2 * n:] *= 1e300
+    ds = data.LabeledDataset(features, rng.integers(0, 3, 4 * n), 3)
+    members = tuple(data.ClientAssignment(
+        c, np.arange(c * n, (c + 1) * n), ds.labels[c * n:(c + 1) * n],
+        ds.labels[c * n:(c + 1) * n]) for c in range(4))
+    g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)])
+    cfg = ClientConfig(lr=1e10, local_epochs=2, batch_size=n)
+    with on_path(dual), pytest.raises(
+            NumericError,
+            match="^client 2 diverged to non-finite logits in round 7$"):
+        client.local_train(g, client.Cohort(members), ds, cfg, 7, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -332,7 +354,7 @@ def test_dual_path_names_its_first_diverged_client(monkeypatch):
 
     monkeypatch.setattr(nn, "head_grad", poisoned)
     with pytest.raises(NumericError, match=f"^client {members[2].client_id} "
-                       "diverged to non-finite parameters$"):
+                       "diverged to non-finite parameters in round 1$"):
         client.local_train(g, client.Cohort(tuple(members)), ds, cfg, 1,
                            seed=0)
     assert steps == [4] * 4

@@ -5,7 +5,11 @@ host without an entry fails rather than skips: a skip would let a changed
 byte pass unseen.
 """
 
+import pytest
+
 import regen_golden
+from fednoisy import cli, client
+from fednoisy.config import build_config, build_datasets
 
 
 def test_outputs_keep_their_recorded_digests(tmp_path):
@@ -21,3 +25,12 @@ def test_outputs_keep_their_recorded_digests(tmp_path):
     assert got.keys() == want.keys(), (
         f"missing: {sorted(want.keys() - got.keys())}, "
         f"new: {sorted(got.keys() - want.keys())}")
+
+
+@pytest.mark.parametrize("name", regen_golden.DUAL_CONFIGS)
+def test_dual_configs_start_on_the_dual_path(name, tmp_path):
+    cfg = build_config(dict(regen_golden.CONFIGS[name], out_dir=str(tmp_path)))
+    exp = cli._experiment(cfg, *build_datasets(cfg))
+    shapes = exp.global_params.shapes
+    assert all(client.takes_dual_path(len(a), shapes, cfg.client)
+               for a in exp.assignments)

@@ -1,13 +1,15 @@
 """Unit tests for aggregation, detection, and round orchestration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fednoisy import analysis, data, nn, server
+from fednoisy import analysis, client, data, nn, server
 from fednoisy.client import (H_ON_LOCAL, TRAIN_RELABELED_ONLY, ClientConfig,
-                             ClientUpdate)
+                             ClientUpdate, Cohort, local_train)
 from fednoisy.data import NoiseSpec, PartitionSpec
 from fednoisy.server import (ROW_SUM_TOL, ReliabilityScores, ServerConfig,
                              aggregate_fedavg, aggregate_layerwise,
@@ -521,6 +523,116 @@ def test_unequal_shards_same_run_at_one_and_two_workers(partition, train_on):
     metrics, _, sizes = runs[0]
     assert len(set(sizes)) > 1   # unequal shards in the last rounds
     assert all(m.client_ids == list(range(5)) for m in metrics)
+
+
+def dual_experiment(*, clients=5, per_class=14, partition=None, rates=None,
+                    epochs=3, batch=4, h_on="global", train_on="corrected_all",
+                    t_corr=2, eta=0.5, rounds=4, seed=1, workers=1):
+    """A fed_ncl experiment whose small shapes (60-8-3, a few rows a client)
+    train on local_train's dual path."""
+    return server.Experiment(
+        data.make_synthetic(3, per_class, 60, 0.6, seed=200),
+        data.make_synthetic(3, 10, 60, 0.6, seed=201),
+        partition=partition or PartitionSpec(kind=data.IID),
+        noise=NoiseSpec(mode=data.FIXED,
+                        rates=rates or [0.0, 1.0, 0.0, 0.0, 1.0]),
+        client_config=ClientConfig(lr=0.05, local_epochs=epochs,
+                                   batch_size=batch, h_on=h_on,
+                                   train_on=train_on),
+        server_config=ServerConfig(aggregator=server.FED_NCL, rounds=rounds,
+                                   num_clients=clients, t_corr=t_corr,
+                                   alpha=0.1, eta=eta),
+        hidden_dims=(8,), seed=seed, workers=workers)
+
+
+def fresh_gram_train(global_params, cohort, *args):
+    """``local_train`` making its members' shard Grams for the call."""
+    return local_train(global_params, Cohort(cohort.members), *args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(clients=st.integers(2, 6), per_class=st.integers(4, 14),
+       skew=st.booleans(), noisy=st.lists(st.booleans(), min_size=6,
+                                          max_size=6),
+       epochs=st.integers(2, 3), batch=st.integers(2, 5),
+       h_on=st.sampled_from(["global", H_ON_LOCAL]),
+       train_on=st.sampled_from(["corrected_all", TRAIN_RELABELED_ONLY]),
+       t_corr=st.integers(1, 3), eta=st.sampled_from([0.4, 0.7]),
+       workers=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+# dual_experiment's own run, whose client 1 loses rows at t_corr, on every run
+@example(clients=5, per_class=14, skew=False,
+         noisy=[False, True, False, False, True, False], epochs=3, batch=4,
+         h_on=H_ON_LOCAL, train_on=TRAIN_RELABELED_ONLY, t_corr=2, eta=0.5,
+         workers=3, seed=1)
+@example(clients=5, per_class=14, skew=False,
+         noisy=[False, True, False, False, True, False], epochs=3, batch=4,
+         h_on="global", train_on=TRAIN_RELABELED_ONLY, t_corr=2, eta=0.5,
+         workers=1, seed=1)
+def test_kept_shard_grams_equal_grams_made_each_call(
+        clients, per_class, skew, noisy, epochs, batch, h_on, train_on,
+        t_corr, eta, workers, seed):
+    def make():
+        return dual_experiment(
+            clients=clients, per_class=per_class, epochs=epochs, batch=batch,
+            partition=PartitionSpec(kind=data.QUANTITY_SKEW if skew
+                                    else data.IID),
+            rates=[float(v) for v in noisy[:clients]], h_on=h_on,
+            train_on=train_on, t_corr=t_corr, eta=eta, rounds=4, seed=seed,
+            workers=workers)
+
+    kept = make()
+    assume(min(len(a) for a in kept.assignments) > 0)
+    assume(any(c.gram is not None for c in kept._cohorts()))
+    fresh = make()
+    for round_idx in range(1, 5):
+        got = kept.run_round(round_idx)
+        with mock.patch.object(server, "local_train", fresh_gram_train):
+            want = fresh.run_round(round_idx)
+        assert got[0] == want[0]
+        for u, v in zip(got[1], want[1], strict=True):
+            assert u.client_id == v.client_id
+            assert u.params.flat.tobytes() == v.params.flat.tobytes()
+            assert u.h == v.h
+        assert kept.global_params.flat.tobytes() == \
+            fresh.global_params.flat.tobytes()
+
+
+@pytest.mark.parametrize("train_on, remade, kept", [
+    ("corrected_all", set(), [8, 9]),
+    # at t_corr = 2 client 1 keeps 7 of its 9 rows, while client 3 has all
+    # its 8 relabeled and keeps its rows: only the 8-row group's clients stay
+    (TRAIN_RELABELED_ONLY, {1}, [8]),
+])
+def test_a_shard_gram_is_made_once_per_run_and_again_on_new_rows(
+        train_on, remade, kept, monkeypatch):
+    exp = dual_experiment(train_on=train_on)
+    assert [len(a) for a in exp.assignments] == [9, 9, 8, 8, 8]
+    made, real = [], server.shard_gram
+
+    def counted(assignment, *args, **kwargs):
+        made.append(assignment.client_id)
+        return real(assignment, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("local_train made a shard Gram itself")
+
+    monkeypatch.setattr(server, "shard_gram", counted)
+    monkeypatch.setattr(client, "shard_gram", refused)
+    rows = [a.indices for a in exp.assignments]
+    built = []
+    for round_idx in range(1, 5):
+        exp.run_round(round_idx)
+        built.append(sorted(made))
+        made.clear()
+        if round_idx == 2:
+            grams = dict(exp._grams)
+    assert exp.s_corr == {1, 3}
+    assert {a.client_id for a, r in zip(exp.assignments, rows)
+            if not np.array_equal(a.indices, r)} == remade
+    assert built == [[0, 1, 2, 3, 4], [], sorted(remade), []]
+    # a group whose clients all stay keeps its buffer
+    assert sorted(n for n, gram in grams.items()
+                  if exp._grams.get(n) is gram) == kept
 
 
 def test_history_partition_every_round(monkeypatch):
