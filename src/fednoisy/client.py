@@ -9,6 +9,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,13 @@ H_ON_GLOBAL = "global"
 H_ON_LOCAL = "local"
 TRAIN_CORRECTED_ALL = "corrected_all"
 TRAIN_RELABELED_ONLY = "relabeled_only"
+
+# most clients one local_train call trains in lockstep. Measured per round
+# against one client per call, 4 took ~17% off both the desk protocol and
+# crowd on the primal path. With the desk protocol on the dual path, cohorts
+# of 10 or 20 there and of 10 or 25 on crowd were no faster than 4, and held
+# 3-12 MB more peak RSS
+_COHORT = 4
 
 
 @dataclass
@@ -69,9 +77,8 @@ class Cohort:
     """Clients with equal shard sizes, which ``local_train`` trains in
     lockstep. ``client_id`` is the tuple of member ids, in member order.
 
-    ``gram``, when given, holds each member's :func:`shard_gram` as a
-    (k, n, n) block, which the dual path reads instead of making K for the
-    call.
+    ``gram``, when given, holds the members' :func:`shard_grams`, which the
+    dual path reads instead of making K for the call.
     """
 
     members: tuple[ClientAssignment, ...]
@@ -82,12 +89,39 @@ class Cohort:
         return tuple(a.client_id for a in self.members)
 
 
-def shard_gram(assignment: ClientAssignment, dataset: LabeledDataset,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """K = X·Xᵀ of the client's shard X (n × d), the dual path's (n, n)
-    Gram, written into ``out`` when given."""
-    x = dataset.features[assignment.indices]
-    return np.matmul(x, x.swapaxes(-1, -2), out=out)
+def shard_grams(members, dataset: LabeledDataset) -> np.ndarray:
+    """K = X·Xᵀ of each member's shard X (n × d), the dual path's Grams, as
+    one (k, n, n) block."""
+    n = len(members[0])
+    gram = np.empty((len(members), n, n))
+    for a, gram_c in zip(members, gram):
+        x = dataset.features[a.indices]
+        np.matmul(x, x.swapaxes(-1, -2), out=gram_c)
+    return gram
+
+
+def cut_cohorts(assignments, dataset: LabeledDataset, shapes,
+                config: ClientConfig, workers: int) -> list[Cohort]:
+    """The clients grouped by shard size in client order, each group cut
+    into cohorts of at most ``_COHORT``, or fewer so that every worker gets
+    one.
+
+    A group that trains on the dual path has its members' shard Grams made
+    in one (C_s, n, n) block, and each of its cohorts carries the view of
+    its run of members.
+    """
+    groups: dict[int, list[ClientAssignment]] = {}
+    for a in assignments:
+        groups.setdefault(len(a), []).append(a)
+    cohorts = []
+    for n, group in groups.items():
+        step = min(_COHORT, math.ceil(len(group) / workers))
+        gram = (shard_grams(group, dataset)
+                if takes_dual_path(n, shapes, config) else None)
+        cohorts += [Cohort(tuple(group[i:i + step]),
+                           None if gram is None else gram[i:i + step])
+                    for i in range(0, len(group), step)]
+    return cohorts
 
 
 def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
@@ -161,6 +195,8 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
                              f"{members[0].client_id} {n}")
     if config.local_epochs < 1:
         raise ValueError("local_epochs must be >= 1")
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     rngs = [np.random.default_rng((seed, a.client_id, round_idx))
             for a in members]
     orders = (np.stack([rng.permutation(n) for rng in rngs])
@@ -181,7 +217,13 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
 
     try:
         if takes_dual_path(n, global_params.shapes, config):
-            h = _train_dual(*args, _cohort_gram(cohort, dataset))
+            gram = cohort.gram
+            if gram is None:
+                gram = shard_grams(members, dataset)
+            elif gram.shape != (len(members), n, n):
+                raise ValueError(f"cohort gram {gram.shape} does not match "
+                                 f"{len(members)} members of {n} rows")
+            h = _train_dual(*args, gram)
         else:
             h = _train_primal(*args)
         finite = np.isfinite(params.flat).all(axis=1)
@@ -196,21 +238,6 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
     models = [nn.ModelParams.from_flat(row, params.shapes) for row in params.flat]
     return [ClientUpdate(a.client_id, m, float(h_c), n)
             for a, m, h_c in zip(members, models, h)]
-
-
-def _cohort_gram(cohort: Cohort, dataset: LabeledDataset) -> np.ndarray:
-    """The members' shard Grams as a (k, n, n) block: ``cohort.gram``, or
-    made for this call."""
-    k, n = len(cohort.members), len(cohort.members[0])
-    if cohort.gram is None:
-        gram = np.empty((k, n, n))
-        for a, gram_c in zip(cohort.members, gram):
-            shard_gram(a, dataset, out=gram_c)
-        return gram
-    if cohort.gram.shape != (k, n, n):
-        raise ValueError(f"cohort gram {cohort.gram.shape} does not match "
-                         f"{k} members of {n} rows")
-    return cohort.gram
 
 
 def _sgd_update(current: np.ndarray, received: np.ndarray, grad: np.ndarray,

@@ -23,9 +23,10 @@ import numpy as np
 from . import nn
 from .analysis import RoundMetrics, evaluate_accuracy, weight_divergence
 # correction_mask is re-exported next to apply_label_correction, which calls it
-from .client import (ClientConfig, ClientUpdate, Cohort,  # noqa: F401
-                     apply_label_correction, correction_mask, local_train,
-                     shard_gram, takes_dual_path)
+from .client import (H_ON_GLOBAL, H_ON_LOCAL,  # noqa: F401
+                     TRAIN_CORRECTED_ALL, TRAIN_RELABELED_ONLY, ClientConfig,
+                     ClientUpdate, Cohort, apply_label_correction,
+                     correction_mask, cut_cohorts, local_train)
 from .data import (ClientAssignment, LabeledDataset, NoiseSpec, PartitionSpec,
                    apply_symmetric_noise, make_partitions,
                    sample_client_noise_rates)
@@ -38,13 +39,6 @@ FED_NCL = "fed_ncl"
 AGGREGATORS = (FEDAVG, TRIMMED_MEAN, FEDPROX, FED_NCL)
 
 ROW_SUM_TOL = 1e-9
-
-# most clients one local_train call trains in lockstep. Measured per round
-# against one client per call, 4 took ~17% off both the desk protocol and
-# crowd on the primal path. With the desk protocol on the dual path, cohorts
-# of 10 or 20 there and of 10 or 25 on crowd were no faster than 4, and held
-# 3-12 MB more peak RSS
-_COHORT = 4
 
 
 @dataclass
@@ -116,7 +110,7 @@ def aggregate_trimmed_mean(updates: list[ClientUpdate],
     if not 0 <= trim_pct < 50:
         raise ValueError("trim_pct must be in [0, 50)")
     c = len(updates)
-    m = int(np.floor(trim_pct / 100.0 * c))
+    m = math.floor(trim_pct * c / 100)
     if 2 * m >= c:
         raise ValueError(f"trimming {m} per side leaves no clients out of {c}")
     first = _common_layout(updates)
@@ -237,6 +231,14 @@ class Experiment:
             raise ValueError(f"unknown aggregator {server_config.aggregator!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if client_config.h_on not in (H_ON_GLOBAL, H_ON_LOCAL):
+            raise ValueError(f"unknown h_on {client_config.h_on!r}")
+        if client_config.train_on not in (TRAIN_CORRECTED_ALL,
+                                          TRAIN_RELABELED_ONLY):
+            raise ValueError(f"unknown train_on {client_config.train_on!r}")
+        if client_config.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got "
+                             f"{client_config.batch_size}")
         self.dataset = dataset
         self.test_set = test_set
         self.client_config = client_config
@@ -257,65 +259,24 @@ class Experiment:
         self.history: list[set[int]] = []   # each round's flagged set
         self.s_corr: set[int] = set()
         self.metrics: list[RoundMetrics] = []
-        # the cohorts, the assignments they were cut from, and by shard size
-        # the (C_s, n, n) buffer of a dual-path group's shard Grams
+        # the cohorts and the assignments they were cut from
         self._cut: list[Cohort] = []
         self._cut_from: list[ClientAssignment] = []
-        self._grams: dict[int, np.ndarray] = {}
 
     # -- round pieces ------------------------------------------------------
 
     def _cohorts(self) -> list[Cohort]:
-        """The clients grouped by shard size in client order, each group cut
-        into cohorts of at most ``_COHORT``, or fewer so that every worker
-        gets one.
-
-        A group that trains on the dual path keeps its members' shard Grams
-        in one (C_s, n, n) buffer, and each of its cohorts reads the view of
-        its run of members. The cut is kept until an assignment changes; then
-        the buffer of a group with the same clients is kept, and a client's
-        K is made again only when its rows changed (``train_on`` =
-        relabeled_only, at ``t_corr``).
-        """
+        """:func:`cut_cohorts` of the assignments, kept until an assignment
+        changes (label correction); a new cut makes its shard Grams again."""
         if len(self._cut_from) == len(self.assignments) and all(
                 a is b for a, b in zip(self._cut_from, self.assignments)):
             return self._cut
-        # each client's rows and K at the last cut
-        made = {a.client_id: (a.indices, k) for c in self._cut
-                if c.gram is not None for a, k in zip(c.members, c.gram)}
-        groups: dict[int, list[ClientAssignment]] = {}
-        for a in self.assignments:
-            groups.setdefault(len(a), []).append(a)
-        cohorts, grams = [], {}
-        for n, group in groups.items():
-            step = min(_COHORT, math.ceil(len(group) / self.workers))
-            gram = None
-            if takes_dual_path(n, self.global_params.shapes,
-                               self.client_config):
-                gram = grams[n] = self._group_grams(group, made)
-            cohorts += [Cohort(tuple(group[i:i + step]),
-                               None if gram is None else gram[i:i + step])
-                        for i in range(0, len(group), step)]
-        self._cut, self._cut_from, self._grams = \
-            cohorts, list(self.assignments), grams
-        return cohorts
-
-    def _group_grams(self, group: list[ClientAssignment],
-                     made: dict[int, tuple[np.ndarray, np.ndarray]]
-                     ) -> np.ndarray:
-        """The shard Grams of ``group``, clients of n rows in client order,
-        given the rows and K of each client at the last cut."""
-        n = len(group[0])
-        kept = [a.client_id for a in self._cut_from if len(a) == n] == \
-            [a.client_id for a in group]
-        gram = self._grams[n] if kept else np.empty((len(group), n, n))
-        for a, k in zip(group, gram):
-            rows, before = made.get(a.client_id, (None, None))
-            if rows is None or not np.array_equal(rows, a.indices):
-                shard_gram(a, self.dataset, out=k)
-            elif not kept:
-                k[...] = before
-        return gram
+        self._cut = []   # frees the old cut's Grams before the new ones
+        self._cut = cut_cohorts(self.assignments, self.dataset,
+                                self.global_params.shapes, self.client_config,
+                                self.workers)
+        self._cut_from = list(self.assignments)
+        return self._cut
 
     def _train_clients(self, round_idx: int) -> list[ClientUpdate]:
         def work(cohort: Cohort) -> list[ClientUpdate]:

@@ -88,8 +88,8 @@ CONFIGS = {
         client={"lr": 0.01, "local_epochs": 10, "batch_size": 60},
         server={"aggregator": "fed_ncl", "rounds": 2, "num_clients": 2}),
     # dual path across a relabeled_only correction: client 4's shard drops
-    # from 60 rows to 20 at t_corr and keeps training on the dual path, so
-    # its shard Gram is made again while the others' are kept
+    # from 60 rows to 20 at t_corr and keeps training on the dual path, on
+    # the shard Gram that the cut after t_corr makes from its new rows
     "fed_ncl_dual_relabeled": _config(
         dataset={"dims": 784, "classes": 10, "spread": 2.0},
         subset_size=360, hidden_dims=[64, 32],

@@ -1,5 +1,6 @@
 """Unit tests for local training, data-quality loss, and label correction."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -9,9 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fednoisy import client, data, nn
-from fednoisy.client import TRAIN_RELABELED_ONLY, ClientConfig
+from fednoisy.client import _COHORT, TRAIN_RELABELED_ONLY, ClientConfig
 from fednoisy.errors import NumericError
-from fednoisy.server import _COHORT
 from tests_util import dual_train_reference, model_stacks
 
 
@@ -279,6 +279,46 @@ def test_cohort_equals_one_client_calls_on_benchmark_shapes(n, batch, epochs):
         assert got.h == want.h
 
 
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.sampled_from([2, 5, 24]), min_size=1, max_size=12),
+       workers=st.integers(1, 3), seed=st.integers(0, 2**16))
+# two groups on the dual path and one on the primal path, on every run
+@example(sizes=[5, 2, 24, 5, 5, 2, 24, 5, 5, 5, 2], workers=2, seed=0)
+def test_cut_cohorts_groups_by_size_in_client_order(sizes, workers, seed):
+    # 60-8-3 with 2 epochs of 4: 2 and 5 rows take the dual path, 24 rows
+    # (24² > P) the primal one
+    rng = np.random.default_rng(seed)
+    ds = data.LabeledDataset(rng.normal(size=(40, 60)),
+                             rng.integers(0, 3, size=40), 3)
+    members = []
+    for cid, n in enumerate(sizes):
+        idx = rng.choice(40, size=n, replace=False)
+        members.append(data.ClientAssignment(cid, idx, ds.labels[idx],
+                                             ds.labels[idx]))
+    shapes = nn.init_params([60, 8, 3], 0).shapes
+    cfg = ClientConfig(local_epochs=2, batch_size=4)
+    cohorts = client.cut_cohorts(members, ds, shapes, cfg, workers)
+    assert sorted(a.client_id for c in cohorts
+                  for a in c.members) == list(range(len(sizes)))
+    for n in set(sizes):
+        group = [a for a in members if len(a) == n]
+        runs = [c for c in cohorts if len(c.members[0]) == n]
+        # runs of the group, each of one shard size, in client order
+        assert [a for c in runs for a in c.members] == group
+        step = min(_COHORT, math.ceil(len(group) / workers))
+        assert all(len(c.members) <= step for c in runs)
+        if not client.takes_dual_path(n, shapes, cfg):
+            assert all(c.gram is None for c in runs)
+            continue
+        block = runs[0].gram.base
+        assert block.shape == (len(group), n, n)
+        for c in runs:
+            assert c.gram.base is block
+            assert np.shares_memory(c.gram, block)
+            assert c.gram.tobytes() == \
+                client.shard_grams(c.members, ds).tobytes()
+
+
 def test_cohort_rejects_unequal_shards():
     ds = blob_dataset()
     a = whole_dataset_assignment(ds)
@@ -427,6 +467,13 @@ def test_zero_local_epochs_rejected():
     with pytest.raises(ValueError, match="local_epochs"):
         train_alone(fresh_params(ds), whole_dataset_assignment(ds), ds,
                     ClientConfig(local_epochs=0), 1, seed=0)
+
+
+def test_zero_batch_size_rejected():
+    ds = blob_dataset()
+    with pytest.raises(ValueError, match="batch_size"):
+        train_alone(fresh_params(ds), whole_dataset_assignment(ds), ds,
+                    ClientConfig(batch_size=0), 1, seed=0)
 
 
 def test_empty_assignment_rejected():

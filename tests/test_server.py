@@ -1,5 +1,6 @@
 """Unit tests for aggregation, detection, and round orchestration."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_trimmed_mean_overtrim_rejected():
         aggregate_trimmed_mean(updates, 50.0)
     out = aggregate_trimmed_mean(updates, 49.0)  # m = 1, keeps the middle two
     assert out.weights[0][0, 0] == pytest.approx(1.5, rel=1e-12)
+
+
+# trim_pct / 100 * c rounds below the integer in each of these
+@pytest.mark.parametrize("pct, c, m", [(29.0, 100, 29), (29.0, 200, 58),
+                                       (35.0, 180, 63)])
+def test_trimmed_mean_trims_floor_of_pct_of_clients(pct, c, m):
+    updates = [scalar_update(i, float(i * i)) for i in range(c)]
+    out = aggregate_trimmed_mean(updates, pct)
+    assert out.weights[0][0, 0] == pytest.approx(
+        np.mean(np.arange(m, c - m) ** 2.0), rel=1e-12)
 
 
 def test_trimmed_mean_invalid_pct():
@@ -382,8 +393,8 @@ def tiny_experiment(aggregator, *, rounds=3, clients=4, seed=0, noise=None,
         ds, test,
         partition=partition or PartitionSpec(kind=data.IID),
         noise=noise or NoiseSpec(mode=data.FIXED, rates=[0.0] * clients),
-        client_config=ClientConfig(lr=0.05, local_epochs=2, batch_size=16,
-                                   **(client_kw or {})),
+        client_config=ClientConfig(**{"lr": 0.05, "local_epochs": 2,
+                                      "batch_size": 16, **(client_kw or {})}),
         server_config=cfg, hidden_dims=(8,), seed=seed, workers=workers)
 
 
@@ -469,7 +480,7 @@ def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
 
     monkeypatch.setattr(nn, "loss_and_grad", counted)
     exp.run_round(1)
-    sizes = [min(server._COHORT, 6 - i) for i in range(0, 6, server._COHORT)]
+    sizes = [min(client._COHORT, 6 - i) for i in range(0, 6, client._COHORT)]
     assert calls == [k for k in sizes for _ in range(4)]
 
 
@@ -480,7 +491,7 @@ def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
 def test_unequal_shards_train_in_client_order_as_single_clients(workers,
                                                                 cohorts):
     from fednoisy.client import Cohort, local_train
-    assert server._COHORT == 4   # the cohorts listed above
+    assert client._COHORT == 4   # the cohorts listed above
     exp = tiny_experiment(server.FED_NCL, clients=9, workers=workers)
     rng = np.random.default_rng(4)
     exp.assignments = []
@@ -597,42 +608,36 @@ def test_kept_shard_grams_equal_grams_made_each_call(
             fresh.global_params.flat.tobytes()
 
 
-@pytest.mark.parametrize("train_on, remade, kept", [
-    ("corrected_all", set(), [8, 9]),
+@pytest.mark.parametrize("train_on, remade", [
+    ("corrected_all", set()),
     # at t_corr = 2 client 1 keeps 7 of its 9 rows, while client 3 has all
-    # its 8 relabeled and keeps its rows: only the 8-row group's clients stay
-    (TRAIN_RELABELED_ONLY, {1}, [8]),
+    # its 8 relabeled and keeps its rows
+    (TRAIN_RELABELED_ONLY, {1}),
 ])
 def test_a_shard_gram_is_made_once_per_run_and_again_on_new_rows(
-        train_on, remade, kept, monkeypatch):
+        train_on, remade, monkeypatch):
     exp = dual_experiment(train_on=train_on)
     assert [len(a) for a in exp.assignments] == [9, 9, 8, 8, 8]
-    made, real = [], server.shard_gram
+    made, real = [], client.shard_grams
 
-    def counted(assignment, *args, **kwargs):
-        made.append(assignment.client_id)
-        return real(assignment, *args, **kwargs)
+    def counted(members, *args):
+        if sys._getframe(1).f_code is not client.cut_cohorts.__code__:
+            raise AssertionError("local_train made a shard Gram itself")
+        made.extend(a.client_id for a in members)
+        return real(members, *args)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("local_train made a shard Gram itself")
-
-    monkeypatch.setattr(server, "shard_gram", counted)
-    monkeypatch.setattr(client, "shard_gram", refused)
+    monkeypatch.setattr(client, "shard_grams", counted)
     rows = [a.indices for a in exp.assignments]
     built = []
     for round_idx in range(1, 5):
         exp.run_round(round_idx)
         built.append(sorted(made))
         made.clear()
-        if round_idx == 2:
-            grams = dict(exp._grams)
     assert exp.s_corr == {1, 3}
     assert {a.client_id for a, r in zip(exp.assignments, rows)
             if not np.array_equal(a.indices, r)} == remade
-    assert built == [[0, 1, 2, 3, 4], [], sorted(remade), []]
-    # a group whose clients all stay keeps its buffer
-    assert sorted(n for n, gram in grams.items()
-                  if exp._grams.get(n) is gram) == kept
+    # once per cut: round 1's, and the one after t_corr's correction
+    assert built == [[0, 1, 2, 3, 4], [], [0, 1, 2, 3, 4], []]
 
 
 def test_history_partition_every_round(monkeypatch):
@@ -707,6 +712,15 @@ def test_baselines_do_not_correct_labels():
 def test_unknown_aggregator_rejected():
     with pytest.raises(ValueError, match="aggregator"):
         tiny_experiment("krum")
+
+
+@pytest.mark.parametrize("client_kw, field", [
+    ({"h_on": "Global"}, "h_on"),
+    ({"train_on": "relabelled_only"}, "train_on"),
+    ({"batch_size": 0}, "batch_size")])
+def test_misspelt_client_setting_rejected(client_kw, field):
+    with pytest.raises(ValueError, match=field):
+        tiny_experiment(server.FED_NCL, client_kw=client_kw)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
