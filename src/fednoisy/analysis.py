@@ -219,6 +219,8 @@ def evaluate_accuracy(params: nn.ModelParams, test_set: LabeledDataset) -> float
 
 def mean_last_accuracy(metrics: list["RoundMetrics"], k: int = 10) -> float:
     """Arithmetic mean of the last k per-round test accuracies."""
+    if k < 1:  # metrics[-0:] is every round
+        raise ValueError(f"k must be >= 1, got {k}")
     tail = metrics[-k:]
     if not tail:
         raise ValueError("no rounds recorded")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientAssignment, LabeledDataset
-from .errors import NonFiniteLogits, NumericError
+from .errors import NonFiniteLogits, NumericError, require
 
 H_ON_GLOBAL = "global"
 H_ON_LOCAL = "local"
@@ -31,7 +31,7 @@ TRAIN_RELABELED_ONLY = "relabeled_only"
 _COHORT = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientConfig:
     """Local-training knobs.
 
@@ -47,6 +47,16 @@ class ClientConfig:
     prox_mu: float = 0.0
     h_on: str = H_ON_GLOBAL
     train_on: str = TRAIN_CORRECTED_ALL
+
+    def __post_init__(self):
+        require(self.lr > 0, "lr", "must be > 0")
+        require(self.local_epochs >= 1, "local_epochs", "must be >= 1")
+        require(self.batch_size >= 1, "batch_size", "must be >= 1")
+        require(self.prox_mu >= 0, "prox_mu", "must be >= 0")
+        require(self.h_on in (H_ON_GLOBAL, H_ON_LOCAL), "h_on",
+                "must be 'global' or 'local'")
+        require(self.train_on in (TRAIN_CORRECTED_ALL, TRAIN_RELABELED_ONLY),
+                "train_on", "must be 'corrected_all' or 'relabeled_only'")
 
 
 @dataclass
@@ -193,10 +203,6 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
             raise ValueError(f"cohort shards differ: client {a.client_id} has "
                              f"{len(a)} samples, client "
                              f"{members[0].client_id} {n}")
-    if config.local_epochs < 1:
-        raise ValueError("local_epochs must be >= 1")
-    if config.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rngs = [np.random.default_rng((seed, a.client_id, round_idx))
             for a in members]
     orders = (np.stack([rng.permutation(n) for rng in rngs])

@@ -1,10 +1,11 @@
-"""Experiment configuration: JSON parsing, validation, defaults, and echo.
+"""Experiment configuration: JSON parsing, defaults, and echo.
 
-Each default is written once, in its dataclass field; parsing and the echo
-walk the fields. Every omitted field keeps its default, unknown keys are
-rejected, values are type-checked by the field's annotation and every
-validation error names the offending key. ``config_to_dict`` emits an
-exhaustive echo such that ``build_config(config_to_dict(cfg)) == cfg``.
+Each default is written once, in its dataclass field, and each dataclass
+checks its own fields when built; parsing and the echo walk the fields.
+Every omitted field keeps its default, unknown keys are rejected, values
+are type-checked by the field's annotation and every validation error
+names the offending key. ``config_to_dict`` emits an exhaustive echo such
+that ``build_config(config_to_dict(cfg)) == cfg``.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import data, server
-from .client import (H_ON_GLOBAL, H_ON_LOCAL, TRAIN_CORRECTED_ALL,
-                     TRAIN_RELABELED_ONLY, ClientConfig)
+from .client import ClientConfig
 from .data import NoiseSpec, PartitionSpec
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .server import ServerConfig
 
 SYNTHETIC = "synthetic"
@@ -29,7 +29,7 @@ MNIST = "mnist"
 DEFAULT_FEDPROX_MU = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     """Where training/test data comes from: IDX files or generated blobs."""
 
@@ -42,9 +42,23 @@ class DatasetConfig:
     test_images: str | None = None
     test_labels: str | None = None
 
+    def __post_init__(self):
+        require(self.kind in (SYNTHETIC, MNIST), "kind",
+                f"must be '{SYNTHETIC}' or '{MNIST}'")
+        if self.kind == SYNTHETIC:
+            require(self.classes >= 2, "classes", "need at least 2 classes")
+            require(self.dims >= 1, "dims", "must be >= 1")
+            require(self.spread >= 0, "spread", "must be >= 0")
+        else:
+            for key in ("images", "labels", "test_images", "test_labels"):
+                require(getattr(self, key) is not None, key,
+                        "required for IDX datasets")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's sections and top-level keys; checks those that span sections."""
+
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     subset_size: int = 2000
     test_size: int = 1000
@@ -59,6 +73,26 @@ class ExperimentConfig:
     checkpoint_every: int = 10
     workers: int = 0   # 0 = one worker per available core
 
+    def __post_init__(self):
+        require(all(h >= 1 for h in self.hidden_dims), "hidden_dims",
+                "every hidden width must be >= 1")
+        require(self.subset_size >= 0, "subset_size", "must be >= 0")
+        if self.dataset.kind == SYNTHETIC:
+            require(self.subset_size >= 1, "subset_size",
+                    "synthetic datasets need an explicit size")
+            require(self.test_size >= 1, "test_size", "must be >= 1")
+        else:  # 0 keeps every IDX test image
+            require(self.test_size >= 0, "test_size", "must be >= 0")
+        require(self.seed >= 0, "seed", "must be >= 0")
+        require(self.out_dir != "", "out_dir", "must not be empty")
+        require(self.workers >= 0, "workers", "must be >= 0")
+        require(self.checkpoint_every >= 1, "checkpoint_every",
+                "must be >= 1")
+        if self.noise.mode == data.FIXED:
+            n = self.server.num_clients
+            require(len(self.noise.rates) == n, "noise.rates",
+                    f"need exactly {n} rates")
+
     def resolved_workers(self) -> int:
         if self.workers > 0:
             return self.workers
@@ -67,11 +101,6 @@ class ExperimentConfig:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-
-
-def _require(cond: bool, key: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{key}: {message}")
 
 
 def _num(value, key: str) -> float:
@@ -139,97 +168,19 @@ def _build(cls, section, prefix: str = ""):
             values[name] = _build(f.default_factory, value, f"{prefix}{name}.")
         else:
             values[name] = _PARSERS[f.type](value, prefix + name)
-    return cls(**values)
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    ds = cfg.dataset
-    _require(ds.kind in (SYNTHETIC, MNIST), "dataset.kind",
-             f"must be '{SYNTHETIC}' or '{MNIST}'")
-    if ds.kind == SYNTHETIC:
-        _require(ds.classes >= 2, "dataset.classes", "need at least 2 classes")
-        _require(ds.dims >= 1, "dataset.dims", "must be >= 1")
-        _require(ds.spread >= 0, "dataset.spread", "must be >= 0")
-    else:
-        for key in ("images", "labels", "test_images", "test_labels"):
-            _require(getattr(ds, key) is not None, f"dataset.{key}",
-                     "required for IDX datasets")
-
-    part = cfg.partition
-    _require(part.kind in (data.IID, data.CLASS_SKEW, data.QUANTITY_SKEW),
-             "partition.kind", "must be iid, class_skew, or quantity_skew")
-    _require(0 < part.p_class <= 1, "partition.p_class", "must be in (0, 1]")
-    _require(part.alpha_dir > 0, "partition.alpha_dir", "must be > 0")
-    _require(part.sigma_log >= 0, "partition.sigma_log", "must be >= 0")
-
-    noise = cfg.noise
-    _require(noise.mode in (data.BERNOULLI, data.TRUNC_GAUSS, data.FIXED),
-             "noise.mode", "must be bernoulli, trunc_gauss, or fixed")
-    _require(0 < noise.clean_prob <= 1, "noise.clean_prob", "must be in (0, 1]")
-    _require(0 <= noise.within_rate <= 1, "noise.within_rate",
-             "must be in [0, 1]")
-    _require(noise.std > 0, "noise.std", "must be > 0")
-    _require(0 <= noise.low < noise.high <= 1, "noise.low",
-             "need 0 <= low < high <= 1")
-    if noise.mode == data.TRUNC_GAUSS:  # the sampler's own check, no draws
-        try:
-            data.sample_truncated_gaussian(noise.mean, noise.std, noise.low,
-                                           noise.high, 0, count=0)
-        except ValueError as err:
-            raise ConfigError(f"noise.mean: {err}") from err
-    if noise.mode == data.FIXED:
-        _require(noise.rates is not None, "noise.rates",
-                 "required when noise.mode is fixed")
-        _require(all(0 <= r <= 1 for r in noise.rates), "noise.rates",
-                 "every rate must be in [0, 1]")
-
-    cl = cfg.client
-    _require(cl.lr > 0, "client.lr", "must be > 0")
-    _require(cl.local_epochs >= 1, "client.local_epochs", "must be >= 1")
-    _require(cl.batch_size >= 1, "client.batch_size", "must be >= 1")
-    _require(cl.prox_mu >= 0, "client.prox_mu", "must be >= 0")
-    _require(cl.h_on in (H_ON_GLOBAL, H_ON_LOCAL), "client.h_on",
-             "must be 'global' or 'local'")
-    _require(cl.train_on in (TRAIN_CORRECTED_ALL, TRAIN_RELABELED_ONLY),
-             "client.train_on", "must be 'corrected_all' or 'relabeled_only'")
-
-    sv = cfg.server
-    _require(sv.aggregator in server.AGGREGATORS, "server.aggregator",
-             f"must be one of {', '.join(server.AGGREGATORS)}")
-    _require(0 <= sv.trim_pct < 50, "server.trim_pct", "must be in [0, 50)")
-    _require(sv.beta > 0, "server.beta", "must be > 0")
-    _require(sv.tau >= 1, "server.tau", "must be >= 1")
-    _require(sv.t_k >= 1, "server.t_k", "must be >= 1")
-    _require(0 < sv.alpha < 1, "server.alpha", "must be in (0, 1)")
-    _require(sv.t_corr >= 1, "server.t_corr", "must be >= 1")
-    _require(0 <= sv.eta <= 1, "server.eta", "must be in [0, 1]")
-    _require(sv.rounds >= 0, "server.rounds", "must be >= 0")
-    _require(sv.num_clients >= 1, "server.num_clients", "must be >= 1")
-
-    _require(all(h >= 1 for h in cfg.hidden_dims), "hidden_dims",
-             "every hidden width must be >= 1")
-    _require(cfg.subset_size >= 0, "subset_size", "must be >= 0")
-    if ds.kind == SYNTHETIC:
-        _require(cfg.subset_size >= 1, "subset_size",
-                 "synthetic datasets need an explicit size")
-        _require(cfg.test_size >= 1, "test_size", "must be >= 1")
-    _require(cfg.seed >= 0, "seed", "must be >= 0")
-    _require(cfg.out_dir != "", "out_dir", "must not be empty")
-    _require(cfg.workers >= 0, "workers", "must be >= 0")
-    _require(cfg.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
-    if noise.mode == data.FIXED:
-        _require(len(noise.rates) == sv.num_clients, "noise.rates",
-                 f"need exactly {sv.num_clients} rates")
+    try:
+        return cls(**values)
+    except ConfigError as err:  # the section names its field, not itself
+        raise ConfigError(f"{prefix}{err}") from None
 
 
 def build_config(document: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     cfg = _build(ExperimentConfig, document)
-    _validate(cfg)
-
     # FedProx is defined by its proximal term; fill the standard mu if unset
     if cfg.server.aggregator == server.FEDPROX and cfg.client.prox_mu == 0:
-        cfg.client.prox_mu = DEFAULT_FEDPROX_MU
+        cfg = replace(cfg, client=replace(cfg.client,
+                                          prox_mu=DEFAULT_FEDPROX_MU))
     return cfg
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError, require
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -68,7 +68,7 @@ class ClientAssignment:
         return self.indices.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Declarative description of the client-noise scenario.
 
@@ -87,8 +87,28 @@ class NoiseSpec:
     high: float = 1.0
     rates: list[float] | None = None
 
+    def __post_init__(self):
+        require(self.mode in (BERNOULLI, TRUNC_GAUSS, FIXED), "mode",
+                "must be bernoulli, trunc_gauss, or fixed")
+        require(0 < self.clean_prob <= 1, "clean_prob", "must be in (0, 1]")
+        require(0 <= self.within_rate <= 1, "within_rate", "must be in [0, 1]")
+        require(self.std > 0, "std", "must be > 0")
+        require(0 <= self.low < self.high <= 1, "low",
+                "need 0 <= low < high <= 1")
+        if self.mode == TRUNC_GAUSS:  # the sampler's own check, no draws
+            try:
+                sample_truncated_gaussian(self.mean, self.std, self.low,
+                                          self.high, 0, count=0)
+            except ValueError as err:
+                raise ConfigError(f"mean: {err}") from err
+        if self.mode == FIXED:
+            require(self.rates is not None, "rates",
+                    "required when noise.mode is fixed")
+            require(all(0 <= r <= 1 for r in self.rates), "rates",
+                    "every rate must be in [0, 1]")
 
-@dataclass
+
+@dataclass(frozen=True)
 class PartitionSpec:
     """How the parent dataset is divided among clients. The client count and
     seed are the run's; ``make_partitions`` takes them as arguments."""
@@ -97,6 +117,13 @@ class PartitionSpec:
     p_class: float = 0.7      # class-presence probability (class skew)
     alpha_dir: float = 0.5    # Dirichlet concentration (class skew)
     sigma_log: float = 0.3    # lognormal std of client sizes (quantity skew)
+
+    def __post_init__(self):
+        require(self.kind in (IID, CLASS_SKEW, QUANTITY_SKEW), "kind",
+                "must be iid, class_skew, or quantity_skew")
+        require(0 < self.p_class <= 1, "p_class", "must be in (0, 1]")
+        require(self.alpha_dir > 0, "alpha_dir", "must be > 0")
+        require(self.sigma_log >= 0, "sigma_log", "must be >= 0")
 
 
 # ----------------------------------------------------------------- loading
@@ -123,6 +150,8 @@ def load_idx(images_path, labels_path, count: int | None = None
     file is still read whole, so ``num_classes`` and the count check are
     those of the full pair.
     """
+    if count is not None and count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     with _open_maybe_gzip(images_path) as fh:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:

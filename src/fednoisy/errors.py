@@ -25,3 +25,9 @@ class DataFormatError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value violates an invariant; message names the key."""
+
+
+def require(cond: bool, key: str, message: str) -> None:
+    """Raise ``ConfigError("<key>: <message>")`` unless ``cond`` holds."""
+    if not cond:
+        raise ConfigError(f"{key}: {message}")

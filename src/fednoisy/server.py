@@ -23,14 +23,13 @@ import numpy as np
 from . import nn
 from .analysis import RoundMetrics, evaluate_accuracy, weight_divergence
 # correction_mask is re-exported next to apply_label_correction, which calls it
-from .client import (H_ON_GLOBAL, H_ON_LOCAL,  # noqa: F401
-                     TRAIN_CORRECTED_ALL, TRAIN_RELABELED_ONLY, ClientConfig,
-                     ClientUpdate, Cohort, apply_label_correction,
-                     correction_mask, cut_cohorts, local_train)
+from .client import (ClientConfig, ClientUpdate, Cohort,  # noqa: F401
+                     apply_label_correction, correction_mask, cut_cohorts,
+                     local_train)
 from .data import (ClientAssignment, LabeledDataset, NoiseSpec, PartitionSpec,
                    apply_symmetric_noise, make_partitions,
                    sample_client_noise_rates)
-from .errors import ShapeError
+from .errors import ShapeError, require
 
 FEDAVG = "fedavg"
 TRIMMED_MEAN = "trimmed_mean"
@@ -41,7 +40,7 @@ AGGREGATORS = (FEDAVG, TRIMMED_MEAN, FEDPROX, FED_NCL)
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerConfig:
     """Aggregation and detection hyperparameters (defaults per the protocol)."""
 
@@ -55,6 +54,19 @@ class ServerConfig:
     eta: float = 0.8           # relabeling confidence threshold
     rounds: int = 150
     num_clients: int = 20
+
+    def __post_init__(self):
+        require(self.aggregator in AGGREGATORS, "aggregator",
+                f"must be one of {', '.join(AGGREGATORS)}")
+        require(0 <= self.trim_pct < 50, "trim_pct", "must be in [0, 50)")
+        require(self.beta > 0, "beta", "must be > 0")
+        require(self.tau >= 1, "tau", "must be >= 1")
+        require(self.t_k >= 1, "t_k", "must be >= 1")
+        require(0 < self.alpha < 1, "alpha", "must be in (0, 1)")
+        require(self.t_corr >= 1, "t_corr", "must be >= 1")
+        require(0 <= self.eta <= 1, "eta", "must be in [0, 1]")
+        require(self.rounds >= 0, "rounds", "must be >= 0")
+        require(self.num_clients >= 1, "num_clients", "must be >= 1")
 
 
 @dataclass
@@ -227,18 +239,8 @@ class Experiment:
                  partition: PartitionSpec, noise: NoiseSpec,
                  client_config: ClientConfig, server_config: ServerConfig,
                  hidden_dims, seed: int, workers: int):
-        if server_config.aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {server_config.aggregator!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if client_config.h_on not in (H_ON_GLOBAL, H_ON_LOCAL):
-            raise ValueError(f"unknown h_on {client_config.h_on!r}")
-        if client_config.train_on not in (TRAIN_CORRECTED_ALL,
-                                          TRAIN_RELABELED_ONLY):
-            raise ValueError(f"unknown train_on {client_config.train_on!r}")
-        if client_config.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got "
-                             f"{client_config.batch_size}")
         self.dataset = dataset
         self.test_set = test_set
         self.client_config = client_config

@@ -277,6 +277,9 @@ def test_mean_last_accuracy_is_arithmetic_mean():
     metrics = [round_metrics(r, acc=0.5 + r / 100) for r in range(1, 21)]
     want = np.mean([m.test_accuracy for m in metrics[-10:]])
     assert analysis.mean_last_accuracy(metrics, 10) == want
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            analysis.mean_last_accuracy(metrics, k)
 
 
 # ----------------------------------------------------------------- metrics

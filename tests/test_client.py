@@ -48,7 +48,9 @@ def test_zero_lr_returns_global_bit_exact():
     ds = blob_dataset()
     a = whole_dataset_assignment(ds)
     g = fresh_params(ds)
-    cfg = ClientConfig(lr=0.0, local_epochs=2, batch_size=16)
+    cfg = ClientConfig(local_epochs=2, batch_size=16)
+    # the config refuses lr 0; local_train's arithmetic must still keep g
+    object.__setattr__(cfg, "lr", 0.0)
     update = train_alone(g, a, ds, cfg, round_idx=1, seed=0)
     assert all(np.array_equal(w1, w2)
                for w1, w2 in zip(update.params.weights, g.weights))

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from fednoisy import config as cfg_mod
 from fednoisy import checkpoint, cli, data, server
-from fednoisy.config import (build_config, build_datasets, config_to_dict,
-                             parse_config)
+from fednoisy.client import ClientConfig
+from fednoisy.config import (DatasetConfig, ExperimentConfig, build_config,
+                             build_datasets, config_to_dict, parse_config)
+from fednoisy.data import NoiseSpec, PartitionSpec
 from fednoisy.errors import ConfigError
+from fednoisy.server import ServerConfig
 from tests_util import config_documents, write_idx_pair
 
 
@@ -126,23 +130,117 @@ def test_fixed_rates_must_match_client_count(tmp_path):
     assert cfg.noise.rates == [0.0, 1.0, 0.5]
 
 
+# each section's dataclass, and the Experiment keyword that takes it
+SECTIONS = {"dataset": (DatasetConfig, None),
+            "partition": (PartitionSpec, "partition"),
+            "noise": (NoiseSpec, "noise"),
+            "client": (ClientConfig, "client_config"),
+            "server": (ServerConfig, "server_config")}
+
+# the message each refused value gets, by (section, key)
+MESSAGES = {
+    ("client", "lr"): "must be > 0",
+    ("client", "local_epochs"): "must be >= 1",
+    ("client", "batch_size"): "must be >= 1",
+    ("client", "prox_mu"): "must be >= 0",
+    ("client", "h_on"): "must be 'global' or 'local'",
+    ("client", "train_on"): "must be 'corrected_all' or 'relabeled_only'",
+    ("server", "trim_pct"): "must be in [0, 50)",
+    ("server", "alpha"): "must be in (0, 1)",
+    ("server", "tau"): "must be >= 1",
+    ("server", "t_k"): "must be >= 1",
+    ("server", "t_corr"): "must be >= 1",
+    ("server", "eta"): "must be in [0, 1]",
+    ("server", "rounds"): "must be >= 0",
+    ("server", "aggregator"):
+        "must be one of fedavg, trimmed_mean, fedprox, fed_ncl",
+    ("server", "beta"): "must be > 0",
+    ("noise", "clean_prob"): "must be in (0, 1]",
+    ("noise", "std"): "must be > 0",
+    ("noise", "low"): "need 0 <= low < high <= 1",
+    ("partition", "kind"): "must be iid, class_skew, or quantity_skew",
+    ("partition", "p_class"): "must be in (0, 1]",
+    ("partition", "alpha_dir"): "must be > 0",
+    ("dataset", "kind"): "must be 'synthetic' or 'mnist'",
+    ("dataset", "classes"): "need at least 2 classes",
+}
+
+
+def library_run(section, key, value):
+    """Train one round as a library caller would, with ``section`` built
+    from ``{key: value}``; for the dataset section, build the datasets."""
+    cls, arg = SECTIONS[section]
+    if arg is None:
+        build_datasets(ExperimentConfig(**{section: cls(**{key: value})}))
+        return
+    ds = data.make_synthetic(3, 10, 4, 1.0, seed=0)
+    kw = {"partition": PartitionSpec(), "noise": NoiseSpec(),
+          "client_config": ClientConfig(local_epochs=1),
+          "server_config": ServerConfig(rounds=1, num_clients=2)}
+    kw[arg] = cls(**{key: value})
+    server.Experiment(ds, ds, **kw, hidden_dims=(4,), seed=0,
+                      workers=1).run_round(1)
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("client", "lr", 0), ("client", "lr", -0.1),
     ("client", "local_epochs", 0), ("client", "batch_size", 0),
-    ("client", "h_on", "sideways"),
+    ("client", "h_on", "sideways"), ("client", "prox_mu", -1),
+    ("client", "train_on", "everything"),
     ("server", "trim_pct", 50), ("server", "alpha", 1.0),
     ("server", "tau", 0.5), ("server", "t_corr", 0),
     ("server", "eta", 1.5), ("server", "aggregator", "krum"),
-    ("server", "beta", 0),
+    ("server", "beta", 0), ("server", "t_k", 0), ("server", "rounds", -1),
     ("noise", "clean_prob", 0), ("noise", "clean_prob", 1.2),
     ("noise", "std", 0), ("noise", "low", 1.0),  # low >= high
     ("partition", "kind", "triangular"), ("partition", "p_class", 0),
     ("partition", "alpha_dir", 0),
     ("dataset", "kind", "imagenet"), ("dataset", "classes", 1),
 ])
-def test_invariant_violations_name_the_key(tmp_path, section, key, value):
-    with pytest.raises(ConfigError, match=key):
-        parse_config(write_config(tmp_path, {section: {key: value}}))
+def test_invariant_violations_name_the_key(tmp_path, capsys, monkeypatch,
+                                           section, key, value):
+    message = MESSAGES[section, key]
+    refused = f"^{re.escape(f'{key}: {message}')}$"
+    # the section's dataclass refuses the value when it is built
+    with pytest.raises(ConfigError, match=refused):
+        SECTIONS[section][0](**{key: value})
+    # the CLI refuses the same value and adds the section to the key
+    path = write_config(tmp_path, {section: {key: value},
+                                   "out_dir": str(tmp_path / "out")})
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {section}.{key}: {message}\n")
+    # and so does the library, before any client trains
+    monkeypatch.setattr(server, "local_train",
+                        lambda *args: pytest.fail("a client trained"))
+    with pytest.raises(ConfigError, match=refused):
+        library_run(section, key, value)
+
+
+@pytest.mark.parametrize("cls", [DatasetConfig, ExperimentConfig,
+                                 PartitionSpec, NoiseSpec, ClientConfig,
+                                 ServerConfig], ids=lambda cls: cls.__name__)
+def test_config_sections_are_frozen(cls):
+    cfg = cls()
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "mnist"])
+def test_negative_test_size_rejected_for_every_kind(tmp_path, capsys, kind):
+    # a readable IDX pair: the size must be refused before load_idx reads it
+    img, lbl = write_idx_pair(tmp_path, np.zeros((4, 2, 2), np.uint8),
+                              [0, 1, 0, 1])
+    paths = {"images": str(img), "labels": str(lbl),
+             "test_images": str(img), "test_labels": str(lbl)}
+    document = {"dataset": {"kind": kind, **(paths if kind == "mnist"
+                                              else {})},
+                "test_size": -3, "out_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, document)
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    want = "must be >= 1" if kind == "synthetic" else "must be >= 0"
+    assert capsys.readouterr().err == f"config error: test_size: {want}\n"
 
 
 def test_noise_low_high_defaults_allow_degenerate_override(tmp_path):

@@ -72,6 +72,13 @@ def test_load_idx_count_keeps_the_first_rows(tmp_path, gz, count):
     assert got.num_classes == full.num_classes == 5
 
 
+@pytest.mark.parametrize("count", [-1, -3])
+def test_load_idx_negative_count_rejected(tmp_path, count):
+    ip, lp = write_idx_pair(tmp_path, tiny_images(), [0, 1])
+    with pytest.raises(ValueError, match=f"^count must be >= 0, got {count}$"):
+        data.load_idx(ip, lp, count)
+
+
 def test_load_idx_count_still_checks_the_label_count(tmp_path):
     ip, lp = write_idx_pair(tmp_path, tiny_images(), [0, 1, 1])
     with pytest.raises(DataFormatError, match="mismatch"):

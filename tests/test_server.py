@@ -671,8 +671,8 @@ def test_label_correction_fires_at_t_corr():
 
 
 def test_relabeled_only_correction_runs_one_forward_per_client(monkeypatch):
-    exp = tiny_experiment(server.FED_NCL, t_corr=2, alpha=0.1, eta=0.4)
-    exp.client_config.train_on = TRAIN_RELABELED_ONLY
+    exp = tiny_experiment(server.FED_NCL, t_corr=2, alpha=0.1, eta=0.4,
+                          client_kw={"train_on": TRAIN_RELABELED_ONLY})
     for _ in range(2):
         exp.history.append({1, 3})
     before = {c: exp.assignments[c] for c in (1, 3)}
