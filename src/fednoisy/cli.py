@@ -156,7 +156,7 @@ def _experiment(cfg: ExperimentConfig, train, test) -> Experiment:
     exp = Experiment(
         train, test, partition=cfg.partition, noise=cfg.noise,
         client_config=cfg.client, server_config=cfg.server,
-        hidden_dims=tuple(cfg.hidden_dims), seed=cfg.seed,
+        hidden_dims=cfg.hidden_dims, seed=cfg.seed,
         workers=cfg.resolved_workers())
     empty = [a.client_id for a in exp.assignments if len(a) == 0]
     if empty:

@@ -78,8 +78,8 @@ def data_quality_loss(eval_params: nn.ModelParams, assignment: ClientAssignment,
     if len(assignment) == 0:
         raise ValueError("assignment is empty")
     x = dataset.features[assignment.indices]
-    mean_loss = nn.cross_entropy(eval_params, x, assignment.noisy_labels)[0]
-    return mean_loss * len(assignment)
+    rows = nn.cross_entropy(eval_params, x, assignment.noisy_labels)
+    return rows.mean(axis=-1) * len(assignment)
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ class Cohort:
     """Clients with equal shard sizes, which ``local_train`` trains in
     lockstep. ``client_id`` is the tuple of member ids, in member order.
 
-    ``gram``, when given, holds the members' :func:`shard_grams`, which the
-    dual path reads instead of making K for the call.
+    ``gram`` None trains primal. Otherwise it holds the members'
+    :func:`shard_grams`, and the cohort trains on the dual path.
     """
 
     members: tuple[ClientAssignment, ...]
@@ -135,8 +135,9 @@ def cut_cohorts(assignments, dataset: LabeledDataset, shapes,
 
 
 def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
-    """Whether ``local_train`` trains a cohort of ``n``-row shards under
-    layer shapes ``shapes`` on its dual path.
+    """Whether :func:`cut_cohorts` gives a cohort of ``n``-row shards under
+    layer shapes ``shapes`` a Gram, so that ``local_train`` trains it on its
+    dual path.
 
     Each step's layer-0 weight gradient dL/dz0ᵀ·x lies in the row space of
     the member's shard X (n × d), so layer 0 stays W0 − AᵀX, W0 the received
@@ -173,24 +174,23 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
     its result into the block, which later steps update in place, with the
     same arithmetic as ``nn.sgd_step``. One gradient block (and, with
     ``prox_mu`` > 0, one scratch block for the proximal term) serves every
-    step. A step takes one of two paths, chosen by :func:`takes_dual_path`
-    from the sizes alone:
+    step. A step takes one of two paths:
 
-    - primal: ``nn.loss_and_grad`` of the block;
-    - dual: layer 0 is kept as W0 − AᵀX, and each step forms the batch's
-      pre-activation Z0[o] − K[o]·A + b0 (K from ``cohort.gram``, or made
-      for the call when it is None), runs ``nn.head_grad`` on it,
-      updates b0 and the later layers as the primal path does, and adds
-      lr·dL/dz0 into A's rows ``o`` (after scaling A by 1 − lr·prox_mu). The
-      trained W0 − AᵀX is written into the block at the end.
+    - primal, when ``cohort.gram`` is None: ``nn.loss_and_grad`` of the block;
+    - dual, with K = ``cohort.gram``: layer 0 is kept as W0 − AᵀX, and each
+      step forms the batch's pre-activation Z0[o] − K[o]·A + b0, runs
+      ``nn.head_grad`` on it, updates b0 and the later layers as the primal
+      path does, and adds lr·dL/dz0 into A's rows ``o`` (after scaling A by
+      1 − lr·prox_mu). The trained W0 − AᵀX is written into the block at
+      the end.
 
     Each ``h`` is the member's ``data_quality_loss``. With ``h_on`` = local
     they come from one stacked ``nn.cross_entropy`` of the trained block
     over the members' shards. With ``h_on`` = global, the dual path runs the
     received model's head on Z0 + b0, ``data_quality_loss``'s own GEMM, so
     ``h`` keeps its bits. The primal path reuses the first step's forward
-    pass of the received model: that batch's row losses, plus one more pass
-    over the rest of the first epoch's order, give
+    pass of the received model: the row losses that step returns, plus one
+    more pass over the rest of the first epoch's order, give
     ``data_quality_loss(global_params, ...)`` (bit for bit wherever the BLAS
     rounds a row the same in a smaller batch).
     """
@@ -222,22 +222,14 @@ def local_train(global_params: nn.ModelParams, cohort: Cohort,
                             f"non-finite {what} in round {round_idx}")
 
     try:
-        if takes_dual_path(n, global_params.shapes, config):
-            gram = cohort.gram
-            if gram is None:
-                gram = shard_grams(members, dataset)
-            elif gram.shape != (len(members), n, n):
-                raise ValueError(f"cohort gram {gram.shape} does not match "
-                                 f"{len(members)} members of {n} rows")
-            h = _train_dual(*args, gram)
-        else:
-            h = _train_primal(*args)
+        h = (_train_primal(*args) if cohort.gram is None
+             else _train_dual(*args, cohort.gram))
         finite = np.isfinite(params.flat).all(axis=1)
         if not finite.all():
             raise diverged(int(np.argmin(finite)), "parameters")
         if h is None:
             h = nn.cross_entropy(params, dataset.features[indices],
-                                 labels)[0] * n
+                                 labels).mean(axis=-1) * n
     except NonFiniteLogits as err:
         raise diverged(err.first_slice, "logits") from err
 
@@ -271,31 +263,28 @@ def _train_primal(global_params: nn.ModelParams, params: nn.ModelParams,
     k, n = labels.shape
     b = config.batch_size
     cols = np.arange(k)[:, None]
-    # the received model's row losses, in the first epoch's order
-    h_rows = np.empty((k, n)) if config.h_on == H_ON_GLOBAL else None
-    first_rows = None if h_rows is None else h_rows[:, :b]
+    h = None
     current = global_params
-    for epoch, order in enumerate(orders):
+    for order in orders:
         idx, y = indices[cols, order], labels[cols, order]
-        if epoch == 0:
-            first_order, first_idx, first_y = order, idx, y
         for start in range(0, n, b):
-            nn.loss_and_grad(current, dataset.features[idx[:, start:start + b]],
-                             y[:, start:start + b], out=grad,
-                             row_losses=first_rows
-                             if current is global_params else None)
+            rows, _ = nn.loss_and_grad(
+                current, dataset.features[idx[:, start:start + b]],
+                y[:, start:start + b], out=grad)
+            if current is global_params and config.h_on == H_ON_GLOBAL:
+                # the received model's row losses: this batch's, then the
+                # rest of the epoch's order, scattered into assignment order
+                losses = np.empty((k, n))
+                losses[cols, order[:, :b]] = rows
+                if n > b:
+                    losses[cols, order[:, b:]] = nn.cross_entropy(
+                        global_params, dataset.features[idx[:, b:]], y[:, b:])
+                # data_quality_loss's sum
+                h = losses.mean(axis=1) * n
             _sgd_update(current.flat, global_params.flat, grad.flat,
                         params.flat, pull, config)
             current = params
-    if h_rows is None:
-        return None
-    if n > b:
-        nn.cross_entropy(global_params, dataset.features[first_idx[:, b:]],
-                         first_y[:, b:], row_losses=h_rows[:, b:])
-    losses = np.empty((k, n))
-    losses[cols, first_order] = h_rows
-    # data_quality_loss's sum, over each client's rows in assignment order
-    return losses.mean(axis=1) * n
+    return h
 
 
 def _train_dual(global_params: nn.ModelParams, params: nn.ModelParams,
@@ -345,7 +334,7 @@ def _train_dual(global_params: nn.ModelParams, params: nn.ModelParams,
         return None
     activations, _ = nn.forward_head(global_params,
                                      z0 + global_params.biases[0][..., None, :])
-    return nn.softmax_loss(activations[-1], labels)[0] * n
+    return nn.softmax_loss(activations[-1], labels)[0].mean(axis=-1) * n
 
 
 def correction_mask(assignment: ClientAssignment, global_params: nn.ModelParams,

@@ -62,7 +62,7 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     subset_size: int = 2000
     test_size: int = 1000
-    hidden_dims: list[int] = field(default_factory=lambda: [64, 32])
+    hidden_dims: tuple[int, ...] = (64, 32)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     client: ClientConfig = field(default_factory=ClientConfig)
@@ -74,6 +74,7 @@ class ExperimentConfig:
     workers: int = 0   # 0 = one worker per available core
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         require(all(h >= 1 for h in self.hidden_dims), "hidden_dims",
                 "every hidden width must be >= 1")
         require(self.subset_size >= 0, "subset_size", "must be >= 0")
@@ -134,11 +135,11 @@ def _str(value, key: str) -> str:
     return value
 
 
-def _list(item):
-    def parse(value, key: str) -> list:
+def _tuple(item):
+    def parse(value, key: str) -> tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
-        return [item(v, key) for v in value]
+        return tuple(item(v, key) for v in value)
     return parse
 
 
@@ -149,8 +150,8 @@ def _optional(parse):
 # leaf parsers by field annotation; nested dataclass fields are sections
 _PARSERS = {
     "int": _int, "float": _float, "bool": _bool, "str": _str,
-    "str | None": _optional(_str), "list[int]": _list(_int),
-    "list[float] | None": _optional(_list(_float)),
+    "str | None": _optional(_str), "tuple[int, ...]": _tuple(_int),
+    "tuple[float, ...] | None": _optional(_tuple(_float)),
 }
 
 def _build(cls, section, prefix: str = ""):
@@ -208,7 +209,7 @@ def config_to_dict(cfg) -> dict:
         value = getattr(cfg, f.name)
         if is_dataclass(value):
             value = config_to_dict(value)
-        elif isinstance(value, list):
+        elif isinstance(value, tuple):
             value = list(value)
         echo[f.name] = value
     return echo

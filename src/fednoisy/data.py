@@ -85,9 +85,11 @@ class NoiseSpec:
     std: float = 0.4
     low: float = 0.0
     high: float = 1.0
-    rates: list[float] | None = None
+    rates: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.rates is not None:
+            object.__setattr__(self, "rates", tuple(self.rates))
         require(self.mode in (BERNOULLI, TRUNC_GAUSS, FIXED), "mode",
                 "must be bernoulli, trunc_gauss, or fixed")
         require(0 < self.clean_prob <= 1, "clean_prob", "must be in (0, 1]")

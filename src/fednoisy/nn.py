@@ -210,17 +210,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_loss(logits: np.ndarray, labels: np.ndarray,
-                 row_losses: np.ndarray | None = None
-                 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy of ``logits`` against ``labels``, over the
-    last axis, and the log-probabilities.
-
-    Each row's loss is written into ``row_losses`` (a float64 array of
-    ``labels``' shape) when given; the mean over the last axis is their
-    mean: a scalar for one batch, a (k,) array for a cohort (``labels`` of
-    shape (k, B)).
-    """
+def softmax_loss(logits: np.ndarray,
+                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's softmax cross-entropy -log p(label) of ``logits`` against
+    ``labels``, in ``labels``' shape, and the log-probabilities. Callers take
+    the mean loss as ``rows.mean(axis=-1)``."""
     labels = np.asarray(labels)
     if labels.shape[-1] == 0:
         raise ValueError("batch is empty")
@@ -229,34 +223,29 @@ def softmax_loss(logits: np.ndarray, labels: np.ndarray,
         raise ValueError(f"label out of range [0, {k})")
     log_probs = _log_softmax(logits)
     picked = log_probs.reshape(-1)[_label_positions(labels, k)]
-    rows = np.negative(picked, out=row_losses)
-    return rows.mean(axis=-1), log_probs
+    return -picked, log_probs
 
 
-def cross_entropy(params: ModelParams, batch_x: np.ndarray, labels: np.ndarray,
-                  row_losses: np.ndarray | None = None
-                  ) -> tuple[float | np.ndarray, list[np.ndarray], np.ndarray]:
-    """Mean softmax cross-entropy of a labelled batch under ``params``
-    (:func:`softmax_loss` of its logits), the per-layer activations and the
-    log-probabilities."""
-    activations, logits = forward(params, batch_x)
-    mean_loss, log_probs = softmax_loss(logits, labels, row_losses)
-    return mean_loss, activations, log_probs
+def cross_entropy(params: ModelParams, batch_x: np.ndarray,
+                  labels: np.ndarray) -> np.ndarray:
+    """Each row's softmax cross-entropy of a labelled batch under ``params``:
+    :func:`softmax_loss` of its logits."""
+    _, logits = forward(params, batch_x)
+    return softmax_loss(logits, labels)[0]
 
 
 def head_grad(params: ModelParams, activations: list[np.ndarray],
-              labels: np.ndarray, out: ModelParams,
-              row_losses: np.ndarray | None = None
-              ) -> tuple[float | np.ndarray, np.ndarray]:
+              labels: np.ndarray, out: ModelParams
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Backprop of a forward pass down to layer 0's pre-activation.
 
     ``activations`` come from :func:`forward` or :func:`forward_head` under
-    ``params``. Writes the gradient of every block but W0 into ``out`` and
-    returns (mean loss, dL/dz0); W0's gradient is dL/dz0ᵀ·x, whatever form
-    the caller holds layer 0 in. ``row_losses`` is :func:`softmax_loss`'s.
+    ``params``. Writes the mean loss's gradient of every block but W0 into
+    ``out`` and returns (:func:`softmax_loss`'s rows, dL/dz0); W0's gradient
+    is dL/dz0ᵀ·x, whatever form the caller holds layer 0 in.
     """
     labels = np.asarray(labels)
-    mean_loss, log_probs = softmax_loss(activations[-1], labels, row_losses)
+    rows, log_probs = softmax_loss(activations[-1], labels)
     delta = np.exp(log_probs)
     delta.reshape(-1)[_label_positions(labels, delta.shape[-1])] -= 1.0
     delta /= labels.shape[-1]
@@ -267,21 +256,19 @@ def head_grad(params: ModelParams, activations: list[np.ndarray],
         # layer l - 1 is hidden: through its ReLU
         delta = delta @ params.weights[l] * (activations[l - 1] > 0)
     delta.sum(axis=-2, out=out.biases[0])
-    return mean_loss, delta
+    return rows, delta
 
 
 def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
-                  labels: np.ndarray, out: ModelParams | None = None,
-                  row_losses: np.ndarray | None = None
-                  ) -> tuple[float | np.ndarray, ModelParams]:
-    """Mean softmax cross-entropy and its exact backprop gradient, laid out
-    like ``params``: :func:`forward`, :func:`head_grad`, then W0's gradient
-    dL/dz0ᵀ·x.
+                  labels: np.ndarray, out: ModelParams | None = None
+                  ) -> tuple[np.ndarray, ModelParams]:
+    """:func:`softmax_loss`'s rows and the exact backprop gradient of their
+    mean, laid out like ``params``: :func:`forward`, :func:`head_grad`, then
+    W0's gradient dL/dz0ᵀ·x.
 
     The gradient is written into ``out`` when given (a ``ModelParams`` with
     ``params``' shapes), else into a new one. Every element is overwritten,
-    so a caller may reuse one buffer across steps. ``row_losses`` receives
-    each row's loss, as in :func:`softmax_loss`. On a cohort batch the
+    so a caller may reuse one buffer across steps. On a cohort batch the
     gradient holds one row per slice, also under unstacked ``params``.
     """
     batch_x = np.asarray(batch_x, dtype=np.float64)
@@ -291,9 +278,9 @@ def loss_and_grad(params: ModelParams, batch_x: np.ndarray,
         out = ModelParams.from_flat(np.empty(batch_x.shape[:-2] + size), params.shapes)
     else:
         _check_congruent(params, out)
-    mean_loss, delta = head_grad(params, activations, labels, out, row_losses)
+    rows, delta = head_grad(params, activations, labels, out)
     np.matmul(delta.swapaxes(-1, -2), batch_x, out=out.weights[0])
-    return mean_loss, out
+    return rows, out
 
 
 def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:

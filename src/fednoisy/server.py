@@ -203,7 +203,10 @@ def layerwise_weights(updates: list[ClientUpdate], layer_divergence: np.ndarray,
 
 def aggregate_layerwise(updates: list[ClientUpdate],
                         weights: np.ndarray) -> nn.ModelParams:
-    """Build each global layer as its own weighted average over clients."""
+    """Build each global layer as its own weighted average over clients.
+
+    Every weight must be finite and >= 0, and every layer row must sum to 1.
+    """
     if not updates:
         raise ValueError("no updates to aggregate")
     first = _common_layout(updates)
@@ -212,6 +215,11 @@ def aggregate_layerwise(updates: list[ClientUpdate],
         raise ShapeError(
             f"weight matrix {weights.shape} does not match "
             f"{first.num_layers} layers x {len(updates)} clients")
+    bad = ~(np.isfinite(weights) & (weights >= 0))
+    if bad.any():
+        l, c = np.argwhere(bad)[0]
+        raise ValueError(f"layer {l} weight of client {updates[c].client_id} "
+                         f"is {weights[l, c]}; weights must be finite and >= 0")
     if np.abs(weights.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("every layer row must sum to 1")
     out = np.zeros_like(first.flat)

@@ -155,9 +155,9 @@ def test_criterion_1_gradient_correctness():
                     idx = it.multi_index
                     orig = arrs[l][idx]
                     arrs[l][idx] = orig + step
-                    up, _ = nn.loss_and_grad(params, x, y)
+                    up = nn.loss_and_grad(params, x, y)[0].mean()
                     arrs[l][idx] = orig - step
-                    down, _ = nn.loss_and_grad(params, x, y)
+                    down = nn.loss_and_grad(params, x, y)[0].mean()
                     arrs[l][idx] = orig
                     want = (up - down) / (2 * step)
                     rel = abs(got[idx] - want) / max(abs(want), 1e-8)

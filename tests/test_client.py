@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,16 +29,18 @@ def fresh_params(ds, hidden=(8,), seed=0):
 
 
 def train_alone(g, a, ds, cfg, round_idx, seed):
-    """``local_train`` of a cohort of one: the client's update."""
-    [update] = client.local_train(g, client.Cohort((a,)), ds, cfg, round_idx,
-                                  seed)
+    """``local_train`` of a cohort of one, on the path ``cut_cohorts`` gives
+    it: the client's update."""
+    [cohort] = client.cut_cohorts([a], ds, g.shapes, cfg, workers=1)
+    [update] = client.local_train(g, cohort, ds, cfg, round_idx, seed)
     return update
 
 
-def on_path(dual):
-    """A context in which ``local_train`` takes its dual path if ``dual``,
-    else its primal path, whatever the sizes."""
-    return mock.patch.object(client, "takes_dual_path", lambda *args: dual)
+def on_path(members, ds, dual):
+    """A cohort of ``members`` that ``local_train`` trains on its dual path
+    if ``dual``, else on its primal path, whatever the sizes."""
+    return client.Cohort(tuple(members),
+                         client.shard_grams(members, ds) if dual else None)
 
 
 # ------------------------------------------------------------- local_train
@@ -134,12 +135,12 @@ def test_local_train_equals_reference_sgd_loop_bitwise(models, n, batch,
                     grad.flat + mu * (params.flat - g.flat), g.shapes)
             params = nn.sgd_step(params, grad, lr)
 
-    with on_path(dual=False):
-        if not np.isfinite(params.flat).all():
-            with pytest.raises(NumericError):
-                train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
-            return
-        update = train_alone(g, a, ds, cfg, round_idx=4, seed=seed)
+    cohort = on_path([a], ds, dual=False)
+    if not np.isfinite(params.flat).all():
+        with pytest.raises(NumericError):
+            client.local_train(g, cohort, ds, cfg, round_idx=4, seed=seed)
+        return
+    [update] = client.local_train(g, cohort, ds, cfg, round_idx=4, seed=seed)
     assert np.array_equal(update.params.flat, params.flat)
 
 
@@ -180,7 +181,7 @@ def test_dual_path_equals_its_reference_loop_bitwise(k, n, dim, hidden,
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu, h_on=h_on)
     assume(client.takes_dual_path(n, g.shapes, cfg))
-    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
+    updates = client.local_train(g, on_path(members, ds, dual=True), ds, cfg,
                                  round_idx=2, seed=seed)
     for a, got in zip(members, updates, strict=True):
         params, h = dual_train_reference(g, a, ds, cfg, 2, seed)
@@ -196,11 +197,8 @@ def test_primal_and_dual_paths_agree(k, n, dim, hidden, classes, batch,
     ds, members, g = dual_cohort(k, n, dim, hidden, classes, seed)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu, h_on=h_on)
-    cohort = client.Cohort(tuple(members))
-    runs = []
-    for dual in (False, True):
-        with on_path(dual):
-            runs.append(client.local_train(g, cohort, ds, cfg, 2, seed))
+    runs = [client.local_train(g, on_path(members, ds, dual), ds, cfg, 2, seed)
+            for dual in (False, True)]
     for primal, dual in zip(*runs):
         want = primal.params.flat
         assert np.abs(dual.params.flat - want).max() \
@@ -249,7 +247,8 @@ def test_cohort_equals_one_client_calls_bitwise(k, n, batch, epochs, mu, h_on,
 
     singles = [train_alone(g, a, ds, cfg, round_idx=3, seed=seed)
                for a in members]
-    cohort = client.Cohort(tuple(members))
+    # up to _COHORT + 1 members in one cohort, on cut_cohorts' path
+    cohort = on_path(members, ds, client.takes_dual_path(n, g.shapes, cfg))
     assert cohort.client_id == tuple(a.client_id for a in members)
     updates = client.local_train(g, cohort, ds, cfg, round_idx=3, seed=seed)
     assert len(updates) == k
@@ -273,8 +272,8 @@ def test_cohort_equals_one_client_calls_on_benchmark_shapes(n, batch, epochs):
         idx = rng.permutation(len(ds))[:n]
         members.append(data.ClientAssignment(client_id, idx, ds.labels[idx],
                                              rng.integers(0, 10, n)))
-    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
-                                 round_idx=3, seed=1)
+    [cohort] = client.cut_cohorts(members, ds, g.shapes, cfg, workers=1)
+    updates = client.local_train(g, cohort, ds, cfg, round_idx=3, seed=1)
     for a, got in zip(members, updates):
         want = train_alone(g, a, ds, cfg, round_idx=3, seed=1)
         assert got.params.flat.tobytes() == want.params.flat.tobytes()
@@ -370,10 +369,11 @@ def test_a_cohort_that_diverges_before_its_last_update_names_it(dual):
         ds.labels[c * n:(c + 1) * n]) for c in range(4))
     g = nn.ModelParams([np.zeros((3, dim))], [np.zeros(3)])
     cfg = ClientConfig(lr=1e10, local_epochs=2, batch_size=n)
-    with on_path(dual), pytest.raises(
+    cohort = on_path(members, ds, dual)
+    with pytest.raises(
             NumericError,
             match="^client 2 diverged to non-finite logits in round 7$"):
-        client.local_train(g, client.Cohort(members), ds, cfg, 7, seed=0)
+        client.local_train(g, cohort, ds, cfg, 7, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -383,7 +383,8 @@ def test_dual_path_names_its_first_diverged_client(monkeypatch):
     # layer 0 shows it
     ds, members, g = dual_cohort(4, 6, 60, [6], 2, seed=3)
     cfg = ClientConfig(lr=0.05, local_epochs=2, batch_size=3)
-    assert client.takes_dual_path(6, g.shapes, cfg)
+    [cohort] = client.cut_cohorts(members, ds, g.shapes, cfg, workers=1)
+    assert cohort.gram is not None
     steps = []
     real = nn.head_grad
 
@@ -397,8 +398,7 @@ def test_dual_path_names_its_first_diverged_client(monkeypatch):
     monkeypatch.setattr(nn, "head_grad", poisoned)
     with pytest.raises(NumericError, match=f"^client {members[2].client_id} "
                        "diverged to non-finite parameters in round 1$"):
-        client.local_train(g, client.Cohort(tuple(members)), ds, cfg, 1,
-                           seed=0)
+        client.local_train(g, cohort, ds, cfg, 1, seed=0)
     assert steps == [4] * 4
 
 
@@ -425,7 +425,7 @@ def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
     def train(epochs):   # two steps of 2 rows an epoch
         cfg = ClientConfig(lr=0.01, local_epochs=epochs, batch_size=2,
                            prox_mu=mu)
-        train_alone(g, a, ds, cfg, round_idx=1, seed=0)
+        client.local_train(g, cohort, ds, cfg, round_idx=1, seed=0)
 
     marks = []   # (traced now, peak since the previous step began) per step
     real = nn.head_grad
@@ -436,14 +436,14 @@ def test_sgd_steps_allocate_nothing_parameter_sized(mu, monkeypatch):
         return real(*args, **kwargs)
 
     for dual in (False, True):
-        with on_path(dual):
-            assert traced_peak(lambda: train(20)) \
-                <= traced_peak(lambda: train(1)) + 4096
-            marks.clear()
-            with monkeypatch.context() as m:
-                # both paths run each step's backprop through the shared head
-                m.setattr(nn, "head_grad", marked)
-                traced_peak(lambda: train(20))
+        cohort = on_path([a], ds, dual)
+        assert traced_peak(lambda: train(20)) \
+            <= traced_peak(lambda: train(1)) + 4096
+        marks.clear()
+        with monkeypatch.context() as m:
+            # both paths run each step's backprop through the shared head
+            m.setattr(nn, "head_grad", marked)
+            traced_peak(lambda: train(20))
         assert len(marks) == 40
         step_growth = [peak - now
                        for (now, _), (_, peak) in zip(marks, marks[1:])]
@@ -518,14 +518,16 @@ def test_h_from_first_step_equals_data_quality_loss(n, batch, epochs, mu, dim,
     g = nn.init_params([dim, hidden, k], seed)
     cfg = ClientConfig(lr=0.05, local_epochs=epochs, batch_size=batch,
                        prox_mu=mu)
-    update = train_alone(g, a, ds, cfg, round_idx=1, seed=seed)
+    [update] = client.local_train(g, on_path([a], ds, dual=False), ds, cfg,
+                                  round_idx=1, seed=seed)
     assert update.h == pytest.approx(client.data_quality_loss(g, a, ds),
                                      rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n, batch", [(20, 20), (100, 60)])
 def test_h_from_first_step_bitwise_on_benchmark_shapes(n, batch):
-    # the crowd and desk clients of fedbench: 784-64-32-10, one shard each
+    # the crowd and desk clients of fedbench: 784-64-32-10, one shard each,
+    # on the primal path (2 epochs send both sizes dual) and on the dual one
     ds = data.make_synthetic(10, 40, 784, 2.0, seed=3)
     g = nn.init_params([784, 64, 32, 10], 5)
     cfg = ClientConfig(lr=0.05, local_epochs=2, batch_size=batch)
@@ -534,8 +536,10 @@ def test_h_from_first_step_bitwise_on_benchmark_shapes(n, batch):
         idx = rng.permutation(len(ds))[:n]
         a = data.ClientAssignment(client_id, idx, ds.labels[idx],
                                   rng.integers(0, 10, n))
-        update = train_alone(g, a, ds, cfg, round_idx=3, seed=1)
-        assert update.h == client.data_quality_loss(g, a, ds)
+        for dual in (False, True):
+            [update] = client.local_train(g, on_path([a], ds, dual), ds, cfg,
+                                          round_idx=3, seed=1)
+            assert update.h == client.data_quality_loss(g, a, ds)
 
 
 @pytest.mark.parametrize("n, batch, rows", [(20, 20, [20]), (20, 60, [20]),
@@ -592,8 +596,8 @@ def test_h_on_local_is_each_members_data_quality_loss_bitwise(k, n, dim,
     g = nn.init_params([dim, *hidden, 10], seed)
     cfg = ClientConfig(lr=0.05, local_epochs=1, batch_size=batch,
                        h_on="local")
-    updates = client.local_train(g, client.Cohort(tuple(members)), ds, cfg,
-                                 round_idx=1, seed=seed)
+    [cohort] = client.cut_cohorts(members, ds, g.shapes, cfg, workers=1)
+    updates = client.local_train(g, cohort, ds, cfg, round_idx=1, seed=seed)
     for a, u in zip(members, updates):
         assert u.h == client.data_quality_loss(u.params, a, ds)
 
@@ -614,8 +618,8 @@ def test_h_is_loss_and_grad_loss_times_n_bitwise(k, n, seed):
     idx = rng.permutation(len(ds))[:n]
     a = data.ClientAssignment(0, idx, ds.labels[idx], rng.integers(0, k + 1, n))
     g = nn.init_params([5, 4, k + 1], seed)
-    mean_loss, _ = nn.loss_and_grad(g, ds.features[a.indices], a.noisy_labels)
-    assert client.data_quality_loss(g, a, ds) == mean_loss * n
+    rows, _ = nn.loss_and_grad(g, ds.features[a.indices], a.noisy_labels)
+    assert client.data_quality_loss(g, a, ds) == rows.mean() * n
 
 
 def test_h_near_zero_for_confident_correct_model():

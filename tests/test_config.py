@@ -127,7 +127,7 @@ def test_fixed_rates_must_match_client_count(tmp_path):
         parse_config(write_config(tmp_path, payload))
     payload["noise"]["rates"] = [0.0, 1.0, 0.5]
     cfg = parse_config(write_config(tmp_path, payload))
-    assert cfg.noise.rates == [0.0, 1.0, 0.5]
+    assert cfg.noise.rates == (0.0, 1.0, 0.5)
 
 
 # each section's dataclass, and the Experiment keyword that takes it
@@ -225,6 +225,18 @@ def test_config_sections_are_frozen(cls):
     for f in fields(cls):
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+def test_config_sequences_are_immutable():
+    # a library caller's lists become tuples, which the checks then cover
+    cfg = ExperimentConfig(hidden_dims=[8, 4])
+    assert cfg.hidden_dims == (8, 4)
+    with pytest.raises(AttributeError):
+        ExperimentConfig().hidden_dims.append(0)
+    spec = NoiseSpec(mode="fixed", rates=[0.5])
+    assert spec.rates == (0.5,)
+    with pytest.raises(TypeError):
+        spec.rates[0] = 7.0
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "mnist"])

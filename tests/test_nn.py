@@ -57,9 +57,9 @@ def numerical_grad(params, x, y, step=1e-5):
                 idx = it.multi_index
                 orig = arrs[l][idx]
                 arrs[l][idx] = orig + step
-                up, _ = nn.loss_and_grad(params, x, y)
+                up = nn.loss_and_grad(params, x, y)[0].mean()
                 arrs[l][idx] = orig - step
-                down, _ = nn.loss_and_grad(params, x, y)
+                down = nn.loss_and_grad(params, x, y)[0].mean()
                 arrs[l][idx] = orig
                 g[idx] = (up - down) / (2 * step)
             grads.append(g)
@@ -182,15 +182,15 @@ def test_uniform_logits_loss_is_log_k():
     p = nn.ModelParams([np.zeros((10, 4))], [np.zeros(10)])
     x = np.random.default_rng(0).normal(size=(7, 4))
     y = np.arange(7) % 10
-    loss, _ = nn.loss_and_grad(p, x, y)
+    loss = nn.loss_and_grad(p, x, y)[0].mean()
     assert loss == pytest.approx(np.log(10), abs=1e-12)
     assert loss == pytest.approx(2.302585092994046, abs=1e-12)
 
 
 def test_saturated_logits_loss_near_zero():
     p = nn.ModelParams([np.zeros((3, 2))], [np.array([1000.0, 0.0, 0.0])])
-    loss, _ = nn.loss_and_grad(p, np.ones((5, 2)), np.zeros(5, dtype=int))
-    assert 0 <= loss < 1e-6
+    rows, _ = nn.loss_and_grad(p, np.ones((5, 2)), np.zeros(5, dtype=int))
+    assert 0 <= rows.mean() < 1e-6
 
 
 def test_label_out_of_range_rejected():
@@ -232,9 +232,9 @@ def test_loss_nonnegative_random():
     rng = np.random.default_rng(11)
     p = small_net(seed=2, sizes=(4, 6, 3))
     for _ in range(10):
-        loss, _ = nn.loss_and_grad(p, rng.normal(size=(5, 4)),
+        rows, _ = nn.loss_and_grad(p, rng.normal(size=(5, 4)),
                                    rng.integers(0, 3, size=5))
-        assert loss >= 0
+        assert rows.mean() >= 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,10 +245,10 @@ def test_loss_and_grad_into_dirty_buffer_equals_fresh_call(models, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, params.in_dim))
     y = rng.integers(0, params.out_dim, size=n)
-    loss, fresh = nn.loss_and_grad(params, x, y)
-    got_loss, got = nn.loss_and_grad(params, x, y, out=dirty)
+    rows, fresh = nn.loss_and_grad(params, x, y)
+    got_rows, got = nn.loss_and_grad(params, x, y, out=dirty)
     assert got is dirty
-    assert got_loss == loss
+    assert got_rows.mean() == rows.mean()
     assert np.array_equal(got.flat, fresh.flat)
 
 
@@ -260,13 +260,15 @@ def test_row_losses_are_the_rows_of_the_mean_loss(models, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, params.in_dim))
     y = rng.integers(0, params.out_dim, size=n)
-    loss, grad = nn.loss_and_grad(params, x, y)
-    rows = np.full(n, np.nan)
-    got_loss, got = nn.loss_and_grad(params, x, y, row_losses=rows)
-    assert got_loss == loss == float(rows.mean())
-    assert np.array_equal(got.flat, grad.flat)
-    # log-sum-exp minus the label's logit, to the rounding of the logits
+    rows, _ = nn.loss_and_grad(params, x, y)
+    assert rows.shape == (n,)
+    assert rows.tobytes() == nn.cross_entropy(params, x, y).tobytes()
+    # their mean is the mean loss as the kernels took it before returning
+    # rows: the label's negated log-probabilities, averaged
     _, logits = nn.forward(params, x)
+    log_probs = nn.softmax_loss(logits, y)[1]
+    assert rows.mean() == np.negative(log_probs[np.arange(n), y]).mean()
+    # log-sum-exp minus the label's logit, to the rounding of the logits
     want = logsumexp(logits, axis=1) - logits[np.arange(n), y]
     scale = max(1.0, np.abs(logits).max())
     assert np.allclose(rows, want, rtol=0, atol=1e-12 * scale)
@@ -292,33 +294,34 @@ def stacked(models):
        st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
 def test_stacked_loss_and_grad_equals_per_slice_calls(models, n, shared, seed):
     # a cohort (or, ``shared``, one model over a stacked batch) gets the bits
-    # of each slice's own 2-D call: losses, row losses and gradient
+    # of each slice's own 2-D call: row losses, their means, log-probabilities
+    # and gradient
     rng = np.random.default_rng(seed)
     k, first = len(models), models[0]
     x = rng.normal(size=(k, n, first.in_dim))
     y = rng.integers(0, first.out_dim, size=(k, n))
     cohort = first if shared else stacked(models)
-    rows = np.full((k, n), np.nan)
     try:
-        means, grad = nn.loss_and_grad(cohort, x, y, row_losses=rows)
+        rows, grad = nn.loss_and_grad(cohort, x, y)
     except NumericError:
         # then some slice overflows on its own too
         with pytest.raises(NumericError):
             for j in range(k):
                 nn.forward(first if shared else models[j], x[j])
         return
-    ce_means, _, log_probs = nn.cross_entropy(cohort, x, y)
+    assert rows.shape == (k, n)
+    assert nn.cross_entropy(cohort, x, y).tobytes() == rows.tobytes()
+    log_probs = nn.softmax_loss(nn.forward(cohort, x)[1], y)[1]
+    means = rows.mean(axis=-1)
     assert grad.flat.shape == (k, first.flat.size)
-    assert np.array_equal(ce_means, means)
     for j in range(k):
         model = first if shared else models[j]
-        row = np.empty(n)
-        want_mean, want = nn.loss_and_grad(model, x[j], y[j], row_losses=row)
-        assert means[j] == want_mean
-        assert rows[j].tobytes() == row.tobytes()
+        want_rows, want = nn.loss_and_grad(model, x[j], y[j])
+        assert rows[j].tobytes() == want_rows.tobytes()
+        assert means[j] == want_rows.mean()
         assert grad.flat[j].tobytes() == want.flat.tobytes()
         assert log_probs[j].tobytes() == \
-            nn.cross_entropy(model, x[j], y[j])[2].tobytes()
+            nn.softmax_loss(nn.forward(model, x[j])[1], y[j])[1].tobytes()
 
 
 def test_stacked_params_view_their_block():

@@ -358,12 +358,25 @@ def test_layerwise_matches_coordinate_loop_oracle():
         assert np.allclose(got.weights[l], expect, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_layerwise_rejects_bad_rows():
     rng = np.random.default_rng(9)
     updates = [random_update(i, rng) for i in range(3)]
-    w = np.full((updates[0].params.num_layers, 3), 0.5)
-    with pytest.raises(ValueError):
+    layers = updates[0].params.num_layers
+    w = np.full((layers, 3), 0.5)
+    with pytest.raises(ValueError, match="must sum to 1"):
         aggregate_layerwise(updates, w)
+    # rows that sum to 1 (or to NaN) but are no convex weights
+    for row, bad in (([np.nan, 0.5, 0.5], "client 0 is nan"),
+                     ([2.0, -1.0, 0.0], "client 1 is -1.0")):
+        w = np.tile(row, (layers, 1))
+        with pytest.raises(ValueError, match=f"{bad}; weights must be finite "
+                           "and >= 0"):
+            aggregate_layerwise(updates, w)
+    # FedAvg of clients without samples: 0 / 0 weights
+    empty = [random_update(i, rng, n=0) for i in range(3)]
+    with pytest.raises(ValueError, match="is nan; weights must be finite"):
+        aggregate_fedavg(empty)
 
 
 def test_conservation_under_identical_inputs():
@@ -410,9 +423,11 @@ def test_zero_rounds_returns_empty_and_leaves_model():
 @pytest.mark.parametrize("aggregator", server.AGGREGATORS)
 def test_single_client_round_returns_client_params(aggregator):
     exp = tiny_experiment(aggregator, clients=1, rounds=1)
-    from fednoisy.client import Cohort, local_train
-    [expected] = local_train(exp.global_params, Cohort((exp.assignments[0],)),
-                             exp.dataset, exp.client_config, 1, exp.seed)
+    [cohort] = client.cut_cohorts(exp.assignments, exp.dataset,
+                                  exp.global_params.shapes, exp.client_config,
+                                  workers=1)
+    [expected] = local_train(exp.global_params, cohort, exp.dataset,
+                             exp.client_config, 1, exp.seed)
     exp.run_round(1)
     new_global = exp.global_params
     for l in range(new_global.num_layers):
@@ -490,7 +505,6 @@ def test_loss_and_grad_runs_once_per_cohort_step(monkeypatch):
 ])
 def test_unequal_shards_train_in_client_order_as_single_clients(workers,
                                                                 cohorts):
-    from fednoisy.client import Cohort, local_train
     assert client._COHORT == 4   # the cohorts listed above
     exp = tiny_experiment(server.FED_NCL, clients=9, workers=workers)
     rng = np.random.default_rng(4)
@@ -503,7 +517,9 @@ def test_unequal_shards_train_in_client_order_as_single_clients(workers,
     updates = exp._train_clients(2)
     assert [u.client_id for u in updates] == list(range(9))
     for a, u in zip(exp.assignments, updates):
-        [want] = local_train(exp.global_params, Cohort((a,)), exp.dataset,
+        [alone] = client.cut_cohorts([a], exp.dataset, exp.global_params.shapes,
+                                     exp.client_config, workers=1)
+        [want] = local_train(exp.global_params, alone, exp.dataset,
                              exp.client_config, 2, exp.seed)
         assert u.n_samples == len(a)
         assert u.params.flat.tobytes() == want.params.flat.tobytes()
@@ -556,9 +572,13 @@ def dual_experiment(*, clients=5, per_class=14, partition=None, rates=None,
         hidden_dims=(8,), seed=seed, workers=workers)
 
 
-def fresh_gram_train(global_params, cohort, *args):
-    """``local_train`` making its members' shard Grams for the call."""
-    return local_train(global_params, Cohort(cohort.members), *args)
+def fresh_gram_train(global_params, cohort, dataset, *args):
+    """``local_train`` of a dual-path cohort given its members' shard Grams
+    made for the call."""
+    gram = (None if cohort.gram is None
+            else client.shard_grams(cohort.members, dataset))
+    return local_train(global_params, Cohort(cohort.members, gram), dataset,
+                       *args)
 
 
 @settings(max_examples=25, deadline=None)
