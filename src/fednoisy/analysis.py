@@ -8,7 +8,6 @@ separate log so repeated runs produce byte-identical files).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Sequence
@@ -217,11 +216,9 @@ def evaluate_accuracy(params: nn.ModelParams, test_set: LabeledDataset) -> float
     return float((preds == test_set.labels).mean())
 
 
-def mean_last_accuracy(metrics: list["RoundMetrics"], k: int = 10) -> float:
-    """Arithmetic mean of the last k per-round test accuracies."""
-    if k < 1:  # metrics[-0:] is every round
-        raise ValueError(f"k must be >= 1, got {k}")
-    tail = metrics[-k:]
+def mean_last_accuracy(metrics: list["RoundMetrics"]) -> float:
+    """Arithmetic mean of the last 10 per-round test accuracies."""
+    tail = metrics[-10:]
     if not tail:
         raise ValueError("no rounds recorded")
     return sum(m.test_accuracy for m in tail) / len(tail)
@@ -299,40 +296,8 @@ def write_metrics(metrics: list[RoundMetrics], path, fmt: str) -> None:
         fh.writelines(format_round(m, fmt) for m in metrics)
 
 
-def read_metrics(path, fmt: str) -> list[RoundMetrics]:
-    """Parse files produced by :func:`write_metrics`."""
-    if fmt == CSV_FORMAT:
-        return _read_csv(path)
-    if fmt == JSONL_FORMAT:
-        return _read_jsonl(path)
-    raise ValueError(f"unknown metrics format {fmt!r}")
-
-
-def _read_csv(path) -> list[RoundMetrics]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_layers = len(header) - len(_FIXED_COLUMNS)
-        by_round: dict[int, RoundMetrics] = {}
-        for row in reader:
-            r = int(row[0])
-            m = by_round.get(r)
-            if m is None:
-                m = RoundMetrics(r, float(row[2]), [], [], [], [], [], [],
-                                 [[] for _ in range(n_layers)])
-                by_round[r] = m
-            m.client_ids.append(int(row[1]))
-            m.divergence.append(float(row[3]))
-            m.reliability.append(float(row[4]))
-            m.flagged.append(bool(int(row[5])))
-            m.corrected.append(bool(int(row[6])))
-            m.n_relabeled.append(int(row[7]))
-            for l in range(n_layers):
-                m.weights[l].append(float(row[8 + l]))
-    return [by_round[r] for r in sorted(by_round)]
-
-
-def _read_jsonl(path) -> list[RoundMetrics]:
+def read_metrics(path) -> list[RoundMetrics]:
+    """Parse the ``metrics.jsonl`` that :func:`write_metrics` wrote."""
     out = []
     with open(path) as fh:
         for line in fh:

@@ -62,9 +62,8 @@ MANIFEST_KEYS = {
     "noise_rates": ("a list of finite numbers", _list_of(
         lambda r: _is_int(r) or isinstance(r, float) and np.isfinite(r))),
     "round": ("an int", _is_int),
+    "num_clients": ("an int", _is_int),
 }
-# checked only when present
-OPTIONAL_KEYS = {"num_clients": ("an int", _is_int)}
 
 
 def round_dir(base_dir, round_idx: int) -> str:
@@ -170,14 +169,13 @@ def read_manifest(path) -> dict:
     if missing:
         raise DataFormatError(f"checkpoint manifest {manifest_path} lacks "
                               f"key(s) {', '.join(missing)}")
-    for key, (kind, check) in (MANIFEST_KEYS | OPTIONAL_KEYS).items():
-        if key in manifest and not check(manifest[key]):
+    for key, (kind, check) in MANIFEST_KEYS.items():
+        if not check(manifest[key]):
             raise DataFormatError(f"checkpoint manifest {manifest_path}: "
                                   f"{key} must be {kind}")
     counts = {"noise_rates": len(manifest["noise_rates"]),
-              "clients": len(manifest["clients"])}
-    if "num_clients" in manifest:
-        counts["num_clients"] = manifest["num_clients"]
+              "clients": len(manifest["clients"]),
+              "num_clients": manifest["num_clients"]}
     if len(set(counts.values())) > 1:
         found = ", ".join(f"{key} {n}" for key, n in counts.items())
         raise DataFormatError(f"checkpoint manifest {manifest_path} disagrees "

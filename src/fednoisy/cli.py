@@ -65,7 +65,7 @@ def _summarize(exp: Experiment) -> dict:
     metrics = exp.metrics
     if metrics:
         final_acc = metrics[-1].test_accuracy
-        last10 = mean_last_accuracy(metrics, 10)
+        last10 = mean_last_accuracy(metrics)
         per_round = [detection_precision_recall(flagged, exp.noise_rates)
                      for flagged in exp.history]
         precision_mean, recall_mean = (float(np.mean(v)) for v in zip(*per_round))

@@ -144,17 +144,16 @@ def takes_dual_path(n: int, shapes, config: ClientConfig) -> bool:
     weights and A an (n × h) coefficient block. A step then needs only rows
     of Z0 = X·W0ᵀ, made once per call, and of K = X·Xᵀ, which depends on
     the shard alone (``Cohort.gram`` keeps it across calls). The dual path is
-    taken when the cohort steps more than once, when its layer-0
-    multiply-adds (n²·d for K, 2·n·d·h for Z0 and the final W0, and
-    epochs·n²·h for the steps' K·A) are fewer than the primal path's two
-    GEMMs a step (2·epochs·n·d·h), and when n² ≤ P, so that one member's K
-    is no larger than its model.
+    taken when its layer-0 multiply-adds (n²·d for K, 2·n·d·h for Z0 and the
+    final W0, and epochs·n²·h for the steps' K·A) are fewer than the primal
+    path's two GEMMs a step (2·epochs·n·d·h), and when n² ≤ P, so that one
+    member's K is no larger than its model. With one epoch the dual count
+    exceeds the primal one, so a cohort that goes dual steps at least twice.
     """
     (h, d), epochs = shapes[0], config.local_epochs
-    steps = epochs * -(-n // config.batch_size)
     dual = n * n * d + 2 * n * d * h + epochs * n * n * h
     size = sum(o * i + o for o, i in shapes)
-    return steps > 1 and dual < 2 * epochs * n * d * h and n * n <= size
+    return dual < 2 * epochs * n * d * h and n * n <= size
 
 
 def local_train(global_params: nn.ModelParams, cohort: Cohort,

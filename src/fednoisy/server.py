@@ -96,20 +96,21 @@ def _common_layout(updates: list[ClientUpdate]) -> nn.ModelParams:
     return first.params
 
 
-def fedavg_weights(updates: list[ClientUpdate], unweighted: bool) -> np.ndarray:
-    if unweighted:
-        return np.full(len(updates), 1.0 / len(updates))
+def fedavg_weights(updates: list[ClientUpdate]) -> np.ndarray:
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
-    return sizes / sizes.sum()
+    total = sizes.sum()
+    if total == 0:
+        raise ValueError(f"clients {[u.client_id for u in updates]} hold no "
+                         "samples; FedAvg weights by sample count")
+    return sizes / total
 
 
-def aggregate_fedavg(updates: list[ClientUpdate],
-                     unweighted: bool = False) -> nn.ModelParams:
-    """Coordinate-wise mean, weighted by sample counts unless ``unweighted``:
-    layer-wise aggregation with the same row for every layer."""
+def aggregate_fedavg(updates: list[ClientUpdate]) -> nn.ModelParams:
+    """Coordinate-wise mean weighted by sample counts: layer-wise
+    aggregation with the same row for every layer."""
     if not updates:
         raise ValueError("no updates to aggregate")
-    row = fedavg_weights(updates, unweighted)
+    row = fedavg_weights(updates)
     return aggregate_layerwise(
         updates, np.tile(row, (updates[0].params.num_layers, 1)))
 
@@ -315,7 +316,7 @@ class Experiment:
             w = layerwise_weights(updates, scores.layer_divergence, flagged,
                                   round_idx, cfg)
         else:  # FedAvg and FedProx: the sample-count row on every layer
-            w = np.tile(fedavg_weights(updates, unweighted=False), (n_layers, 1))
+            w = np.tile(fedavg_weights(updates), (n_layers, 1))
         return aggregate_layerwise(updates, w), w
 
     def _correct_labels(self, new_global: nn.ModelParams) -> dict[int, int]:

@@ -96,7 +96,7 @@ def run_one(task) -> tuple[float, float, int | None]:
     if reading.aggregator == "fed_ncl":
         wrong = sum(int((a.noisy_labels != a.true_labels).sum())
                     for a in exp.assignments)
-    return mean_last_accuracy(metrics, 10), float(np.mean(f1)), wrong
+    return mean_last_accuracy(metrics), float(np.mean(f1)), wrong
 
 
 def measured_at() -> str:

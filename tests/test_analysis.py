@@ -1,5 +1,6 @@
 """Unit tests for CKA, divergence traces, accuracy, and metrics persistence."""
 
+import csv
 import weakref
 
 import numpy as np
@@ -276,10 +277,7 @@ def test_accuracy_random_model_near_chance():
 def test_mean_last_accuracy_is_arithmetic_mean():
     metrics = [round_metrics(r, acc=0.5 + r / 100) for r in range(1, 21)]
     want = np.mean([m.test_accuracy for m in metrics[-10:]])
-    assert analysis.mean_last_accuracy(metrics, 10) == want
-    for k in (0, -2):
-        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
-            analysis.mean_last_accuracy(metrics, k)
+    assert analysis.mean_last_accuracy(metrics) == want
 
 
 # ----------------------------------------------------------------- metrics
@@ -330,7 +328,26 @@ def test_metrics_round_trip(tmp_path, fmt):
     metrics = [round_metrics(r) for r in range(1, 6)]
     path = tmp_path / f"m.{fmt}"
     analysis.write_metrics(metrics, path, fmt)
-    assert_metrics_close(analysis.read_metrics(path, fmt), metrics)
+    if fmt == "jsonl":
+        assert_metrics_close(analysis.read_metrics(path), metrics)
+        return
+    # read_metrics takes the JSONL; each CSV row holds its record's values
+    analysis.write_metrics(metrics, tmp_path / "m.jsonl", "jsonl")
+    records = {m.round_idx: m for m in
+               analysis.read_metrics(tmp_path / "m.jsonl")}
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert len(rows) == sum(len(m.client_ids) for m in metrics)
+    for row in rows:
+        m = records[int(row["round"])]
+        i = m.client_ids.index(int(row["client_id"]))
+        assert float(row["test_accuracy"]) == m.test_accuracy
+        assert float(row["e"]) == m.divergence[i]
+        assert float(row["q"]) == m.reliability[i]
+        assert row["flagged"] == str(int(m.flagged[i]))
+        assert row["corrected"] == str(int(m.corrected[i]))
+        assert int(row["n_relabeled"]) == m.n_relabeled[i]
+        assert [float(row[f"w_l{l}"]) for l in range(m.num_layers)] == \
+            [w[i] for w in m.weights]
 
 
 def test_csv_row_count_matches_rounds_times_clients(tmp_path):

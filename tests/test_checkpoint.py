@@ -228,7 +228,7 @@ def test_unreadable_manifest_names_its_path(tmp_path, text, reason):
 
 
 @pytest.mark.parametrize("key", ["layer_shapes", "global", "clients",
-                                 "noise_rates", "round"])
+                                 "noise_rates", "round", "num_clients"])
 def test_manifest_missing_key_names_key_and_path(tmp_path, key):
     g = model(8)
     path = checkpoint.save_round(tmp_path, 10, g, [g], [0.0])

@@ -175,7 +175,7 @@ def test_failed_run_keeps_every_finished_round(tmp_path, monkeypatch, capsys):
     rows = list(csv.DictReader(
         (failed / "metrics.csv").read_text().splitlines()))
     assert [int(r["round"]) for r in rows] == [1] * 4 + [2] * 4
-    records = analysis.read_metrics(failed / "metrics.jsonl", "jsonl")
+    records = analysis.read_metrics(failed / "metrics.jsonl")
     assert [m.round_idx for m in records] == [1, 2]
     timings = (failed / "timings.log").read_text().splitlines()
     assert [line.split(":")[0] for line in timings] == ["round 1", "round 2"]

@@ -217,10 +217,23 @@ def test_primal_and_dual_paths_agree(k, n, dim, hidden, classes, batch,
     (40, [(1, 1000), (2, 1)], 50, 10, False),
     # steps enough and K small, but more multiply-adds on the dual path
     (100, [(8, 6), (3, 8)], 2, 16, False),
+    # the desk client at one epoch: ten steps, but the multiply-adds alone
+    # keep it primal
+    (100, [(64, 784), (32, 64), (10, 32)], 1, 10, False),
 ])
 def test_the_path_follows_the_sizes(n, shapes, epochs, batch, dual):
     cfg = ClientConfig(local_epochs=epochs, batch_size=batch)
     assert client.takes_dual_path(n, shapes, cfg) is dual
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5000), st.lists(st.integers(1, 1000), min_size=2,
+                                      max_size=5), st.integers(1, 500))
+def test_one_epoch_never_takes_the_dual_path(n, widths, batch):
+    # K and Z0 alone cost n²·d + 2·n·d·h, more than one epoch's primal 2·n·d·h
+    shapes = list(zip(widths[1:], widths[:-1]))
+    cfg = ClientConfig(local_epochs=1, batch_size=batch)
+    assert not client.takes_dual_path(n, shapes, cfg)
 
 
 @settings(max_examples=60, deadline=None)

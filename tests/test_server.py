@@ -46,6 +46,13 @@ def layer_div(g, updates):
     return analysis.weight_divergence(g, [u.params for u in updates])[1]
 
 
+def arithmetic_mean(updates):
+    """The clients' coordinate-wise mean, by numpy rather than through
+    aggregate_layerwise."""
+    flats = np.stack([u.params.flat for u in updates])
+    return nn.ModelParams.from_flat(flats.mean(axis=0), updates[0].params.shapes)
+
+
 # ----------------------------------------------------------------- fedavg
 
 def test_fedavg_identical_updates():
@@ -63,8 +70,8 @@ def test_fedavg_weighted_vs_unweighted_hand_case():
     updates = [scalar_update(0, 0.0, n=1), scalar_update(1, 0.0, n=1),
                scalar_update(2, 4.0, n=2)]
     assert aggregate_fedavg(updates).weights[0][0, 0] == pytest.approx(2.0, rel=1e-12)
-    assert aggregate_fedavg(updates, unweighted=True).weights[0][0, 0] == \
-        pytest.approx(4.0 / 3.0, rel=1e-12)
+    uniform = aggregate_layerwise(updates, np.full((1, 3), 1 / 3))
+    assert uniform.weights[0][0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_fedavg_matches_weighted_mean_oracle():
@@ -320,12 +327,12 @@ def test_layerwise_scale_invariance():
 
 # ------------------------------------------------------- layerwise aggregate
 
-def test_layerwise_uniform_equals_unweighted_fedavg():
+def test_layerwise_uniform_is_the_arithmetic_mean():
     rng = np.random.default_rng(6)
     updates = [random_update(i, rng) for i in range(5)]
     w = np.full((updates[0].params.num_layers, 5), 0.2)
     got = aggregate_layerwise(updates, w)
-    want = aggregate_fedavg(updates, unweighted=True)
+    want = arithmetic_mean(updates)
     for l in range(got.num_layers):
         assert np.allclose(got.weights[l], want.weights[l], rtol=1e-12)
         assert np.allclose(got.biases[l], want.biases[l], rtol=1e-12)
@@ -358,7 +365,6 @@ def test_layerwise_matches_coordinate_loop_oracle():
         assert np.allclose(got.weights[l], expect, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_layerwise_rejects_bad_rows():
     rng = np.random.default_rng(9)
     updates = [random_update(i, rng) for i in range(3)]
@@ -373,9 +379,10 @@ def test_layerwise_rejects_bad_rows():
         with pytest.raises(ValueError, match=f"{bad}; weights must be finite "
                            "and >= 0"):
             aggregate_layerwise(updates, w)
-    # FedAvg of clients without samples: 0 / 0 weights
+    # FedAvg of clients without samples, refused before 0 / 0 weights
     empty = [random_update(i, rng, n=0) for i in range(3)]
-    with pytest.raises(ValueError, match="is nan; weights must be finite"):
+    with pytest.raises(ValueError, match=r"clients \[0, 1, 2\] hold no "
+                       "samples"):
         aggregate_fedavg(empty)
 
 
@@ -383,8 +390,9 @@ def test_conservation_under_identical_inputs():
     # floating accumulation allows a few ulps, nothing more
     g = nn.init_params([4, 6, 3], 11)
     updates = identical_updates(g, 20, n=100)
+    uniform = np.full((g.num_layers, 20), 1 / 20)
     for out in [aggregate_fedavg(updates),
-                aggregate_fedavg(updates, unweighted=True),
+                aggregate_layerwise(updates, uniform),
                 aggregate_trimmed_mean(updates, 20.0),
                 aggregate_layerwise(
                     updates, layerwise_weights(updates, layer_div(g, updates),
@@ -456,7 +464,7 @@ def test_each_aggregator_records_the_rows_it_applies(aggregator):
             assert new_global.flat.tobytes() == \
                 aggregate_fedavg(updates).flat.tobytes()
             assert np.array_equal(weights, np.tile(
-                server.fedavg_weights(updates, False), (len(weights), 1)))
+                server.fedavg_weights(updates), (len(weights), 1)))
         assert new_global.flat.tobytes() == want.flat.tobytes()
 
 
@@ -836,11 +844,9 @@ def assert_within_client_hull(out, models):
 def test_fedavg_is_layerwise_with_tiled_rows(models, data_):
     sizes = data_.draw(st.lists(st.integers(1, 50), min_size=len(models),
                                 max_size=len(models)))
-    unweighted = data_.draw(st.booleans())
     updates = stack_updates(models, sizes)
-    rows = np.tile(server.fedavg_weights(updates, unweighted),
-                   (models[0].num_layers, 1))
-    got = aggregate_fedavg(updates, unweighted)
+    rows = np.tile(server.fedavg_weights(updates), (models[0].num_layers, 1))
+    got = aggregate_fedavg(updates)
     want = aggregate_layerwise(updates, rows)
     assert got.flat.tobytes() == want.flat.tobytes()
     assert got.shapes == models[0].shapes
@@ -953,13 +959,12 @@ def test_aggregates_invariant_under_client_order(models, data_):
     rows = raw.reshape(n_layers, c)
     rows /= rows.sum(axis=1, keepdims=True)
     trim = data_.draw(st.floats(0.0, 49.0))
-    unweighted = data_.draw(st.booleans())
     perm = data_.draw(st.permutations(range(c)))
     updates = stack_updates(models, sizes)
     shuffled = [updates[i] for i in perm]
 
-    assert_close_to_client_scale(aggregate_fedavg(shuffled, unweighted),
-                                 aggregate_fedavg(updates, unweighted), models)
+    assert_close_to_client_scale(aggregate_fedavg(shuffled),
+                                 aggregate_fedavg(updates), models)
     assert_close_to_client_scale(aggregate_trimmed_mean(shuffled, trim),
                                  aggregate_trimmed_mean(updates, trim), models)
     assert_close_to_client_scale(aggregate_layerwise(shuffled, rows[:, perm]),
@@ -1015,5 +1020,4 @@ def test_trimmed_mean_at_zero_pct_is_unweighted_fedavg(models, data_):
                                 max_size=len(models)))
     updates = stack_updates(models, sizes)
     assert_close_to_client_scale(aggregate_trimmed_mean(updates, 0.0),
-                                 aggregate_fedavg(updates, unweighted=True),
-                                 models)
+                                 arithmetic_mean(updates), models)
